@@ -9,6 +9,9 @@ package sim_test
 //   - FarFuture: timers landing beyond the calendar window, exercising
 //     the overflow ladder (retransmit-timer pattern).
 //
+// BenchmarkProcHandoff measures the kernel-to-proc round trip every
+// Sync and every Block/WakeAt pays.
+//
 // TestCalendarSteadyStateAllocs pins down the "allocation-free hot
 // loop" claim: after warm-up, scheduling and draining events on the
 // calendar engine allocates nothing.
@@ -78,6 +81,53 @@ func BenchmarkKernelFarFuture(b *testing.B) {
 			}
 			benchSink = k.Run()
 		}
+	})
+}
+
+// handoffWarmup is enough one-cycle round trips to cross the whole
+// calendar window once, so every bucket slab is warm before timing.
+const handoffWarmup = 1 << 15
+
+// BenchmarkProcHandoff times one proc round trip per op: a Sync that
+// must wait for its resume event, and a Block woken by a kernel-side
+// WakeAt one cycle later. The timer starts after a warm-up inside the
+// running proc, so allocs/op is the steady state's.
+func BenchmarkProcHandoff(b *testing.B) {
+	b.Run("sync", func(b *testing.B) {
+		k := sim.NewKernel()
+		k.Spawn("p", func(p *sim.Proc) {
+			for i := 0; i < handoffWarmup; i++ {
+				p.Advance(1)
+				p.Sync()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Advance(1)
+				p.Sync()
+			}
+			b.StopTimer()
+		})
+		benchSink = k.Run()
+	})
+	b.Run("block", func(b *testing.B) {
+		k := sim.NewKernel()
+		var p *sim.Proc
+		wake := func() { p.WakeAt(k.Now()) }
+		p = k.Spawn("p", func(p *sim.Proc) {
+			for i := 0; i < handoffWarmup; i++ {
+				k.At(k.Now()+1, wake)
+				p.Block()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.At(k.Now()+1, wake)
+				p.Block()
+			}
+			b.StopTimer()
+		})
+		benchSink = k.Run()
 	})
 }
 

@@ -6,10 +6,11 @@
 // flows through timestamped events.
 //
 // The kernel is strictly sequential: at any instant either the kernel or
-// exactly one process goroutine is running, handed off through unbuffered
-// channels. Events with equal timestamps execute in scheduling order.
-// Two runs of the same program therefore produce identical event orders,
-// identical statistics, and identical virtual end times.
+// exactly one process is running. Processes are coroutines (iter.Pull),
+// so each handoff is a direct runtime coroutine switch. Events with
+// equal timestamps execute in scheduling order. Two runs of the same
+// program therefore produce identical event orders, identical
+// statistics, and identical virtual end times.
 //
 // Two scheduler engines implement that contract. The default is a
 // calendar queue (calendar.go): events live by value in width-2^5-cycle
@@ -134,9 +135,9 @@ func NewKernelWith(engine Engine) *Kernel {
 	}
 }
 
-// Now reports the current virtual time. While a process goroutine is
-// running, Now is the time at which that process was resumed; processes
-// track the cycles they have charged since then in their local clocks.
+// Now reports the current virtual time. While a process is running, Now
+// is the time at which that process was resumed; processes track the
+// cycles they have charged since then in their local clocks.
 func (k *Kernel) Now() Time { return k.now }
 
 // Executed reports how many events have run so far.
@@ -259,9 +260,10 @@ func (k *Kernel) checkRunnable() {
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return k.q.len() }
 
-// Drain abandons all pending events and unblocks every process goroutine
-// so that no goroutines leak when a simulation is cut short (tests,
-// -quick runs).
+// Drain abandons all pending events and kills every unfinished
+// process, so that no coroutine outlives a simulation cut short (tests,
+// -quick runs). A killed process unwinds, running its deferred calls,
+// before Drain returns.
 //
 // Drain is terminal: the kernel's clock and counters (Now, Executed,
 // Pending) remain readable, and Drain itself is idempotent, but any

@@ -1,17 +1,22 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// errKilled is panicked inside a process goroutine to unwind it when the
+// killedError is panicked inside a process body to unwind it when the
 // kernel is drained. It never escapes the package.
 type killedError struct{}
 
 func (killedError) Error() string { return "sim: process killed" }
 
 // Proc is a simulated processor (or any other active agent, such as a NIC
-// firmware thread). Its body is ordinary Go code running on its own
-// goroutine; the kernel and the goroutine hand control back and forth so
-// that exactly one of them runs at a time.
+// firmware thread). Its body is ordinary Go code running as a coroutine
+// (iter.Pull): the kernel resumes it with next, and it suspends itself
+// through yield, so exactly one of the two runs at a time and every
+// switch is a direct runtime coroutine switch, not a trip through the
+// goroutine scheduler.
 //
 // A Proc keeps a local clock that may run ahead of kernel time between
 // interaction points: Advance charges cycles locally without touching the
@@ -26,9 +31,13 @@ type Proc struct {
 	local   Time // proc-local clock, >= kernel time whenever the proc runs
 	penalty Time // asynchronous time charged to this CPU (e.g. interrupt service)
 
-	toProc   chan struct{}
-	toKernel chan struct{}
-	quit     chan struct{}
+	// next, stop and yield are the body's coroutine, set from the start
+	// event until the body returns or is killed. They are cleared then
+	// because the coroutine holds the body closure, and through it
+	// whatever the body captured.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// resumeFn and wakeFn are the pre-bound event bodies Sync and
 	// WakeAt schedule. Binding them once at spawn keeps the hot
@@ -37,7 +46,6 @@ type Proc struct {
 	resumeFn func()
 	wakeFn   func()
 
-	started     bool
 	finished    bool
 	blocked     bool
 	wakePending bool
@@ -59,69 +67,53 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAt creates a process that begins executing fn at time start.
 func (k *Kernel) SpawnAt(name string, start Time, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:        k,
-		ID:       len(k.procs),
-		Name:     name,
-		toProc:   make(chan struct{}),
-		toKernel: make(chan struct{}),
-		quit:     make(chan struct{}),
-	}
-	p.resumeFn = p.resumeAndWait
+	p := &Proc{k: k, ID: len(k.procs), Name: name}
+	p.resumeFn = p.resume
 	p.wakeFn = p.wakeEvent
 	k.procs = append(k.procs, p)
 	k.At(start, func() {
 		p.local = k.now
-		p.started = true
-		go p.run(fn)
-		p.resumeAndWait()
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.run(fn, yield)
+		})
+		p.resume()
 	})
 	return p
 }
 
-// run is the goroutine body: wait for the first resume, execute fn, then
-// signal completion back to the kernel.
-func (p *Proc) run(fn func(*Proc)) {
+// run is the coroutine body: execute fn, then release the coroutine.
+// A kill unwinds silently; any other panic propagates to the caller of
+// next, i.e. out of Kernel.Run.
+func (p *Proc) run(fn func(*Proc), yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
+		p.finished = true
+		p.next, p.stop, p.yield = nil, nil, nil
 		if r := recover(); r != nil {
-			if _, ok := r.(killedError); ok {
-				return // kernel drained; unwind silently
+			if _, ok := r.(killedError); !ok {
+				panic(r)
 			}
-			panic(r)
 		}
 	}()
-	p.waitResume()
 	fn(p)
-	p.finished = true
-	p.toKernel <- struct{}{}
 }
 
-// resumeAndWait transfers control to the process goroutine and blocks the
-// kernel until the process yields or finishes. Kernel-side only.
-func (p *Proc) resumeAndWait() {
-	p.toProc <- struct{}{}
-	<-p.toKernel
-}
+// resume runs the process until it yields or finishes. Kernel-side only.
+func (p *Proc) resume() { p.next() }
 
-// yield transfers control back to the kernel and blocks the goroutine
-// until the next resume. Process-side only.
-func (p *Proc) yield() {
-	p.toKernel <- struct{}{}
-	p.waitResume()
-}
-
-func (p *Proc) waitResume() {
-	select {
-	case <-p.toProc:
-	case <-p.quit:
+// suspend hands control back to the kernel until the next resume.
+// Process-side only.
+func (p *Proc) suspend() {
+	if !p.yield(struct{}{}) {
 		panic(killedError{})
 	}
 }
 
-// kill unblocks a parked process goroutine during Kernel.Drain.
+// kill unwinds a suspended process during Kernel.Drain: its yield
+// returns false, and its deferred calls run before kill returns.
 func (p *Proc) kill() {
-	if p.started && !p.finished {
-		close(p.quit)
+	if p.stop != nil {
+		p.stop()
 	}
 	p.finished = true
 }
@@ -164,7 +156,7 @@ func (p *Proc) Sync() {
 			return
 		}
 		p.k.At(p.local, p.resumeFn)
-		p.yield()
+		p.suspend()
 		p.local = p.k.now
 		// A penalty that arrived while we were waiting (an interrupt
 		// delivered mid-computation) must still delay this sync; loop
@@ -196,7 +188,7 @@ func (p *Proc) Block() Time {
 	}
 	p.blocked = true
 	p.blockStart = p.local
-	p.yield()
+	p.suspend()
 	p.local = p.k.now
 	return p.lastBlocked
 }
@@ -234,7 +226,7 @@ func (p *Proc) wakeEvent() {
 	p.local = p.k.now
 	p.lastBlocked = p.local - p.blockStart
 	p.BlockedTime += p.lastBlocked
-	p.resumeAndWait()
+	p.resume()
 }
 
 // Finished reports whether the process body has returned.

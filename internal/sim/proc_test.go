@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"weak"
+)
 
 func TestProcAdvanceAndSync(t *testing.T) {
 	k := NewKernel()
@@ -176,23 +180,127 @@ func TestSpawnAt(t *testing.T) {
 
 func TestDrainUnblocksParkedProcs(t *testing.T) {
 	k := NewKernel()
-	finished := false
+	finished, deferred := false, false
 	p := k.Spawn("stuck", func(p *Proc) {
+		defer func() { deferred = true }()
 		p.Block() // nobody will wake it
 		finished = true
 	})
 	k.At(100, func() { k.Stop() })
 	k.Run()
-	if p.Finished() {
+	if p.Finished() || deferred {
 		t.Fatal("proc should still be blocked before drain")
 	}
 	k.Drain()
 	if finished {
 		t.Fatal("killed proc must not run its continuation")
 	}
+	if !deferred {
+		t.Fatal("Drain returned before the killed body's deferred calls ran")
+	}
 	if !p.Finished() {
 		t.Fatal("drained proc should be marked finished")
 	}
+}
+
+type procBoom struct{ n int }
+
+// TestProcPanicPropagates checks that a panic in a proc body other than
+// a kill surfaces, with its original value, from Kernel.Run, and from
+// ShardSet.Run attributed to the proc's shard.
+func TestProcPanicPropagates(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("p", func(p *Proc) {
+		p.Advance(10)
+		p.Sync()
+		panic(procBoom{7})
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		k.Run()
+		return nil
+	}()
+	if got != (procBoom{7}) {
+		t.Fatalf("Kernel.Run panicked with %v, want %v", got, procBoom{7})
+	}
+	k.Drain()
+
+	ss := NewShardSet(2, EngineCalendar)
+	ss.SetLookahead(5)
+	ss.Kernel(1).Spawn("p", func(p *Proc) {
+		p.Advance(10)
+		p.Sync()
+		panic(procBoom{9})
+	})
+	got = func() (r any) {
+		defer func() { r = recover() }()
+		ss.Run()
+		return nil
+	}()
+	if want := "sim: shard 1: {9}"; got != want {
+		t.Fatalf("ShardSet.Run panicked with %v, want %q", got, want)
+	}
+	ss.Drain()
+}
+
+// TestDrainLeavesNoGoroutines checks that finished and killed procs
+// hold no goroutine once Run and Drain have returned.
+func TestDrainLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel()
+	for i := 0; i < 8; i++ {
+		k.Spawn("p", func(p *Proc) {
+			p.Advance(Time(10 * i))
+			p.Sync()
+			if i%2 == 0 {
+				p.Block() // nobody will wake it
+			}
+		})
+	}
+	k.Run()
+	k.Drain()
+	// Fewer is fine: goroutines an earlier test left (shard workers
+	// retiring after ShardSet.Run) may exit in between.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after Run and Drain, want at most %d", after, before)
+	}
+}
+
+// spawnHolding spawns a proc whose body captures a fresh object, and
+// returns a weak pointer to that object. With block set the body parks
+// forever and must be killed.
+func spawnHolding(k *Kernel, block bool) weak.Pointer[[64]int] {
+	buf := new([64]int)
+	k.Spawn("p", func(p *Proc) {
+		p.Advance(1)
+		p.Sync()
+		if block {
+			p.Block()
+		}
+		buf[0]++
+	})
+	return weak.Make(buf)
+}
+
+// TestEndedProcReleasesCaptures checks that a proc that finished, or
+// was killed, keeps nothing its body captured reachable: the kernel
+// keeps every Proc, so a retained body would pin its captures for the
+// whole simulation.
+func TestEndedProcReleasesCaptures(t *testing.T) {
+	k := NewKernel()
+	done := spawnHolding(k, false)
+	killed := spawnHolding(k, true)
+	k.Run()
+	runtime.GC()
+	if done.Value() != nil {
+		t.Fatal("finished proc still references its body's captures")
+	}
+	k.Drain()
+	runtime.GC()
+	if killed.Value() != nil {
+		t.Fatal("killed proc still references its body's captures")
+	}
+	runtime.KeepAlive(k)
 }
 
 func TestProcBlockedAccountingAcrossMultipleBlocks(t *testing.T) {

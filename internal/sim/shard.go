@@ -128,8 +128,8 @@ func (ss *ShardSet) runWindow(edge Time) {
 }
 
 // startWorkers launches one persistent goroutine per shard; each
-// executes its kernel's windows so that proc goroutine handoffs stay
-// confined to a single worker.
+// executes its kernel's windows, so a shard's proc coroutines are only
+// ever resumed by its own worker.
 func (ss *ShardSet) startWorkers() {
 	ss.start = make([]chan Time, len(ss.kernels))
 	ss.done = make(chan struct{}, len(ss.kernels))
@@ -193,8 +193,8 @@ func (ss *ShardSet) Pending() int {
 	return n
 }
 
-// Drain abandons all pending events on every shard and unblocks their
-// process goroutines; like Kernel.Drain it is terminal.
+// Drain abandons all pending events on every shard and kills their
+// unfinished processes; like Kernel.Drain it is terminal.
 func (ss *ShardSet) Drain() {
 	for _, k := range ss.kernels {
 		k.Drain()
