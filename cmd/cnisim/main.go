@@ -62,7 +62,7 @@
 // answered by the board from responses pinned in the Message Cache
 // (turn the cache off with -niccache=false to ablate). -tenants adds
 // traffic classes (tenant i has priority i), -isolation switches on
-// per-tenant device channels, token buckets and priority scheduling,
+// per-tenant credit shares, token buckets and priority scheduling,
 // and -contract caps each tenant above tenant 0 at a bucket rate:
 //
 //	cnisim -kv -nic cni -zipf 1.1 -rate 20000 -requests 500
@@ -168,7 +168,7 @@ func main() {
 	keys := flag.Int("keys", 1024, "key-space size (-kv mode)")
 	getFrac := flag.Float64("getfrac", 0.9, "GET fraction of each tenant's stream (-kv mode)")
 	nicCache := flag.Bool("niccache", true, "NIC-resident response cache, CNI only (-kv mode)")
-	isolation := flag.Bool("isolation", false, "per-tenant channels, token buckets and priority scheduling (-kv mode)")
+	isolation := flag.Bool("isolation", false, "per-tenant credit shares, token buckets and priority scheduling (-kv mode)")
 	contract := flag.Float64("contract", 0, "token-bucket rate contract in req/s for tenants above tenant 0, 0 = none (-kv mode)")
 	flag.Parse()
 

@@ -40,6 +40,7 @@ import (
 	"cni/internal/pathfinder"
 	"cni/internal/rpc"
 	"cni/internal/sim"
+	"cni/internal/stats"
 	"cni/internal/tenant"
 	"cni/internal/trace"
 	"cni/internal/workload"
@@ -354,7 +355,7 @@ func NewFabric(cfg *Config, n int) (*Fabric, error) { return msgpass.NewFabric(c
 type (
 	ReduceOp  = collective.ReduceOp
 	CollStats = collective.Stats
-	CollHist  = collective.Hist
+	CollHist  = stats.Hist
 )
 
 // The collective combining operators.
@@ -387,7 +388,7 @@ type (
 	RPCSpec      = workload.Spec
 	RPCReport    = workload.Report
 	RPCStats     = rpc.Stats
-	RPCLatencies = rpc.Latencies
+	RPCLatencies = stats.Latencies
 )
 
 // RPCPolicy selects what a server does when admission control trips:

@@ -23,6 +23,7 @@ import (
 	"cni/internal/nic"
 	"cni/internal/rpc"
 	"cni/internal/sim"
+	"cni/internal/stats"
 	"cni/internal/tenant"
 	"cni/internal/trace"
 )
@@ -55,8 +56,8 @@ type Cluster struct {
 	G          *dsm.Globals
 	Coll       *collective.Engine
 	RPC        *rpc.Engine
-	KV        *kv.Engine
-	Nodes     []*Node
+	KV         *kv.Engine
+	Nodes      []*Node
 }
 
 // Setup allocates the shared region (identically on every run).
@@ -109,8 +110,8 @@ func New(cfg *config.Config, n int, setup Setup) (*Cluster, error) {
 		c.Net = net
 	}
 	c.Coll = collective.NewEngine(cfg, c.K)
-	c.RPC = rpc.NewEngine(cfg, c.K)
-	c.KV = kv.NewEngine(cfg, c.K)
+	c.RPC = rpc.NewEngine(cfg)
+	c.KV = kv.NewEngine(cfg)
 	for i := 0; i < n; i++ {
 		node := &Node{ID: i}
 		node.Mem = memsys.New(cfg)
@@ -255,18 +256,18 @@ type Result struct {
 	Time      sim.Time // wall time: the last worker's finish time
 	PerNode   []NodeStats
 	Net       atm.Stats
-	Coll      collective.Stats // summed over nodes
-	RPC       rpc.Stats        // request/response activity summed over nodes
-	RPCLat    rpc.Latencies    // exact request-latency samples over all clients
-	KV        kv.Stats         // key-value serving activity summed over nodes
-	KVLat     rpc.Latencies    // exact KV latency samples (OK/NotFound) over all clients
-	KVHit     rpc.Latencies    // KV GET latency, board-cache-served
-	KVHost    rpc.Latencies    // KV GET latency, host-served
-	Tenants   []tenant.Stats   // per-tenant outcomes and latency, merged over nodes
-	TenantLat []rpc.Latencies  // exact per-tenant latency samples
-	Rel       nic.RelStats     // reliability activity summed over nodes
-	DSM       DSMStats         // DSM protocol activity aggregated over nodes
-	HitRatio  float64          // aggregate network cache hit ratio, percent
+	Coll      collective.Stats  // summed over nodes
+	RPC       rpc.Stats         // request/response activity summed over nodes
+	RPCLat    stats.Latencies   // exact request-latency samples over all clients
+	KV        kv.Stats          // key-value serving activity summed over nodes
+	KVLat     stats.Latencies   // exact KV latency samples (OK/NotFound) over all clients
+	KVHit     stats.Latencies   // KV GET latency, board-cache-served
+	KVHost    stats.Latencies   // KV GET latency, host-served
+	Tenants   []tenant.Stats    // per-tenant outcomes and latency, merged over nodes
+	TenantLat []stats.Latencies // exact per-tenant latency samples
+	Rel       nic.RelStats      // reliability activity summed over nodes
+	DSM       DSMStats          // DSM protocol activity aggregated over nodes
+	HitRatio  float64           // aggregate network cache hit ratio, percent
 
 	// Averages across nodes (the shape Tables 2-4 report).
 	AvgOverhead    sim.Time
@@ -327,20 +328,20 @@ func (c *Cluster) Run(app App) *Result {
 			NIC:         n.Board.Stats,
 			Coll:        c.Coll.Node(n.ID).Stats,
 			RPC:         c.RPC.Node(n.ID).Stats,
-			KV:          c.KV.Node(n.ID).Stats,
+			KV:          c.KV.Node(n.ID).Counters(),
 		}
 		res.PerNode = append(res.PerNode, ns)
 		res.Coll.Merge(ns.Coll)
 		res.RPC.Merge(ns.RPC)
 		res.RPCLat.Merge(c.RPC.Node(n.ID).Lat)
 		kn := c.KV.Node(n.ID)
-		res.KV.Merge(kn.Stats)
+		res.KV.Merge(ns.KV)
 		res.KVLat.Merge(kn.Lat)
 		res.KVHit.Merge(kn.HitLat)
 		res.KVHost.Merge(kn.HostLat)
 		res.Tenants = tenant.MergeSlices(res.Tenants, kn.TStats)
 		for len(res.TenantLat) < len(kn.TLat) {
-			res.TenantLat = append(res.TenantLat, rpc.Latencies{})
+			res.TenantLat = append(res.TenantLat, stats.Latencies{})
 		}
 		for i := range kn.TLat {
 			res.TenantLat[i].Merge(kn.TLat[i])

@@ -1,85 +1,9 @@
 package collective
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-
-	"cni/internal/sim"
-)
-
-// Hist is a log2 latency histogram. It is a plain comparable value (no
-// pointers, fixed-size bucket array) so whole Stats structs can be
-// compared with == in determinism tests.
-type Hist struct {
-	Count   uint64
-	Sum     uint64 // total cycles, for the mean
-	Buckets [20]uint64
-}
-
-// Add records one latency sample in cycles.
-func (h *Hist) Add(c sim.Time) {
-	if c < 0 {
-		c = 0
-	}
-	h.Count++
-	h.Sum += uint64(c)
-	i := bits.Len64(uint64(c))
-	if i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
-}
-
-// Merge folds o into h.
-func (h *Hist) Merge(o Hist) {
-	h.Count += o.Count
-	h.Sum += o.Sum
-	for i := range h.Buckets {
-		h.Buckets[i] += o.Buckets[i]
-	}
-}
-
-// Mean reports the mean sample in cycles (0 when empty).
-func (h Hist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// String renders the occupied buckets, e.g. "4k:12 8k:3" meaning 12
-// samples in [4096,8192) cycles.
-func (h Hist) String() string {
-	var b strings.Builder
-	for i, c := range h.Buckets {
-		if c == 0 {
-			continue
-		}
-		lo := uint64(0)
-		if i > 0 {
-			lo = 1 << (i - 1)
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		switch {
-		case lo >= 1<<20:
-			fmt.Fprintf(&b, "%dM:%d", lo>>20, c)
-		case lo >= 1<<10:
-			fmt.Fprintf(&b, "%dk:%d", lo>>10, c)
-		default:
-			fmt.Fprintf(&b, "%d:%d", lo, c)
-		}
-	}
-	if b.Len() == 0 {
-		return "-"
-	}
-	return b.String()
-}
+import "cni/internal/stats"
 
 // Stats counts one node's collective activity. Comparable with == (see
-// Hist).
+// stats.Hist).
 type Stats struct {
 	// Episodes is the number of collectives this node entered.
 	Episodes uint64
@@ -93,7 +17,7 @@ type Stats struct {
 	// Msgs is the number of schedule messages this node transmitted.
 	Msgs uint64
 	// Latency samples enter-to-release time per episode, in CPU cycles.
-	Latency Hist
+	Latency stats.Hist
 }
 
 // Merge folds o into s (cluster-wide aggregation).

@@ -1,26 +1,27 @@
-// Package kv is a memcached-style key-value service built on the same
-// Application Device Channel transport as internal/rpc: GET/SET/DELETE
-// requests with a flat 40-byte wire encoding, per-node key-space
-// sharding (key mod servers, decided by the client), bounded server
-// work queues with admission control derived from free-queue depth,
-// and per-request latency measured at the client from the scheduled
-// issue time (coordination-omission-free under open loop).
+// Package kv is a memcached-style key-value service riding the
+// request/response transport of internal/rpc: GET/SET/DELETE requests
+// with a flat 40-byte wire encoding (wire.go), per-node key-space
+// sharding (key mod servers, decided by the client), and a versioned
+// store at each key's home server. Connections, admission control,
+// scheduling classes, deadlines and latency accounting are the
+// transport's; this package adds what gives a request its meaning.
 //
 // Two things distinguish it from plain RPC serving:
 //
 // First, multi-tenant QoS (internal/tenant). Every request names its
-// tenant; a serving node gives each tenant its own device channel —
-// its own free-queue descriptors, preposted at setup — plus a
-// token-bucket rate limit and a strict/weighted-fair scheduler slot,
-// all enforced at the existing enqueue-time protection point where an
-// arrival claims a descriptor. With isolation off the same arrivals
-// share one channel, one bucket-less pool and one FIFO, which is the
-// ablation the FS2 experiment measures.
+// tenant; with isolation on, the transport gives each tenant its own
+// scheduling class — its own share of credits on the node's device
+// channel, a token-bucket rate limit and a strict/weighted-fair
+// scheduler slot — enforced at the enqueue-time protection point where
+// an arrival claims a buffer. With isolation off the same arrivals
+// share one class, one bucket-less pool and one FIFO, which is the
+// ablation the FS2 experiment measures. Clients keep a per-tenant
+// ledger of outcomes and latency.
 //
 // Second, the NIC-resident response cache (cache.go). On the CNI a
 // serving board keeps recently transmitted GET responses pinned in the
-// Message Cache and screens arriving requests with a board filter
-// (nic.RegisterFilter): a repeat GET whose response is still pinned is
+// Message Cache and screens arriving requests with the transport's
+// board filter: a repeat GET whose response is still pinned is
 // answered entirely by the receive processor — no DMA, no interrupt,
 // no host cycles, the serving-era analogue of the paper's
 // protocol-processing-on-the-board claim. The capability is gated on
@@ -32,29 +33,21 @@ package kv
 import (
 	"fmt"
 
-	"cni/internal/adc"
 	"cni/internal/config"
 	"cni/internal/nic"
 	"cni/internal/rpc"
 	"cni/internal/sim"
+	"cni/internal/stats"
 	"cni/internal/tenant"
 )
 
-// Protocol operations (the 0x700 block; rpc holds 0x600).
-const (
-	opRequest  uint32 = 0x700
-	opResponse uint32 = 0x701
-	opDone     uint32 = 0x702
-)
+// opRequest is the KV request operation: the 0x700 block (rpc holds
+// 0x600), response and done marker at 0x701 and 0x702.
+const opRequest uint32 = 0x700
 
-// Response flags.
-const (
-	flagOK uint32 = iota
-	flagNotFound
-	flagRejected
-	flagThrottled
-	flagExpired
-)
+// respHeader is the protocol header of a response (id, version,
+// tenant, flag).
+const respHeader = 24
 
 // HeapBase is the virtual base of each node's pinned KV heap,
 // disjoint from the RPC heap at 1<<30. Page layout: page 0 is the
@@ -65,64 +58,34 @@ const HeapBase uint64 = 1 << 31
 
 const (
 	rxPage      = 0
-	reqPage0    = 1
-	reqPages    = 63
 	scratchPage = 64
 	slotPage0   = 65
 )
 
 // Outcome is the terminal state of one call.
-type Outcome int
+type Outcome = rpc.Outcome
 
 // The call outcomes.
 const (
-	OK Outcome = iota
-	NotFound
-	Rejected
-	Throttled
-	Expired
+	OK        = rpc.OK
+	NotFound  = rpc.NotFound
+	Rejected  = rpc.Rejected
+	Throttled = rpc.Throttled
+	Expired   = rpc.Expired
 )
 
-// String implements fmt.Stringer.
-func (o Outcome) String() string {
-	switch o {
-	case OK:
-		return "ok"
-	case NotFound:
-		return "notfound"
-	case Rejected:
-		return "rejected"
-	case Throttled:
-		return "throttled"
-	case Expired:
-		return "expired"
-	default:
-		return fmt.Sprintf("Outcome(%d)", int(o))
-	}
-}
-
-// Stats counts one node's KV activity (client and server roles). It is
+// Stats counts one node's KV activity: the transport's client and
+// server counters plus the NIC-resident response cache's. It is
 // comparable, like rpc.Stats, so determinism tests can use ==.
 type Stats struct {
-	// Client side.
-	Issued       uint64
-	Completed    uint64 // OK + NotFound responses received
-	Rejected     uint64
-	Throttled    uint64
-	Expired      uint64
-	DeadlineMiss uint64
+	rpc.Stats
+	CacheStats
+}
 
-	// Server side.
-	Served     uint64
-	FreeDry    uint64
-	QueueFull  uint64
-	Delayed    uint64
-	Malformed  uint64 // arrivals whose request failed to decode
-	QueuePeak  int
-	ParkedPeak int
-
-	// NIC-resident response cache (serving CNI boards only).
-	BoardServed  uint64 // GETs answered by the board filter
+// CacheStats counts the NIC-resident response cache (serving CNI
+// boards only; BoardServed is the transport's) and splits GET latency
+// by who served it.
+type CacheStats struct {
 	BoardMissed  uint64 // GETs the filter passed to the host
 	Inserts      uint64 // responses retained by the board
 	CacheEvicts  uint64 // LRU evictions under the pin budget
@@ -130,79 +93,64 @@ type Stats struct {
 	InsertVetoes uint64 // inserts refused during a write window
 	PinFails     uint64 // inserts refused for want of an MC frame
 
-	// Lat is the all-tenants OK/NotFound latency histogram; HitLat and
-	// HostLat split GET latency by who served it.
-	Lat     rpc.Hist
-	HitLat  rpc.Hist
-	HostLat rpc.Hist
+	HitLat  stats.Hist // GETs answered by the board
+	HostLat stats.Hist // GETs answered by the host
 }
 
 // Merge folds o into s (cluster-level aggregation).
 func (s *Stats) Merge(o Stats) {
-	s.Issued += o.Issued
-	s.Completed += o.Completed
-	s.Rejected += o.Rejected
-	s.Throttled += o.Throttled
-	s.Expired += o.Expired
-	s.DeadlineMiss += o.DeadlineMiss
-	s.Served += o.Served
-	s.FreeDry += o.FreeDry
-	s.QueueFull += o.QueueFull
-	s.Delayed += o.Delayed
-	s.Malformed += o.Malformed
-	if o.QueuePeak > s.QueuePeak {
-		s.QueuePeak = o.QueuePeak
-	}
-	if o.ParkedPeak > s.ParkedPeak {
-		s.ParkedPeak = o.ParkedPeak
-	}
-	s.BoardServed += o.BoardServed
+	s.Stats.Merge(o.Stats)
 	s.BoardMissed += o.BoardMissed
 	s.Inserts += o.Inserts
 	s.CacheEvicts += o.CacheEvicts
 	s.WriteInvals += o.WriteInvals
 	s.InsertVetoes += o.InsertVetoes
 	s.PinFails += o.PinFails
-	s.Lat.Merge(o.Lat)
 	s.HitLat.Merge(o.HitLat)
 	s.HostLat.Merge(o.HostLat)
 }
 
-// reqPDU is the wire payload of a request: the encoded bytes, plus the
-// decode the first consumer (board filter or host handler) produced so
-// the message is parsed once per receiving node.
+// reqPDU is one request on the wire. The client encodes the operation
+// into raw and notes its kind (send); the transport's header fields
+// complete the record (encode). The server parses raw once per node —
+// whichever of the board filter and the host handler sees it first —
+// into req, whose Body is the PDU, and the parsed op and key.
 type reqPDU struct {
-	raw []byte
-	req *Request
+	raw    [ReqBytes]byte
+	kind   Kind // as issued (client side)
+	parsed bool
+	op     Kind
+	key    uint64
+	req    rpc.Request
 }
 
-// respMsg is the wire payload of a response.
-type respMsg struct {
-	conn    uint32
-	id      uint64
-	version uint64
-	tenant  uint16
-	flag    uint32
-	board   bool // served by the NIC-resident cache
+// encode is the transport's Encode hook: the header fields join the
+// operation in the flat wire record, so whichever processor
+// demultiplexes the request can parse it alone.
+func encode(r rpc.Request) any {
+	pd := r.Body.(*reqPDU)
+	q, _ := DecodeRequest(pd.raw[:])
+	q.Tenant, q.Conn, q.ID, q.From, q.Deadline = uint16(r.Tenant), r.Conn, r.ID, uint32(r.From), r.Deadline
+	EncodeRequest(pd.raw[:0], &q)
+	return pd
 }
 
-// call is one outstanding client request.
-type call struct {
-	issued   sim.Time
-	deadline sim.Time
-	kind     Kind
-	tenant   int
-	waiter   *sim.Proc
-	outcome  uint32
-	version  uint64
-	done     bool
-}
-
-// parkedReq is one request held back by the Delay policy.
-type parkedReq struct {
-	req   *Request
-	class int
-	holds bool
+// decode is the transport's Decode hook.
+func decode(payload any) (*rpc.Request, bool) {
+	pd := payload.(*reqPDU)
+	if !pd.parsed {
+		q, err := DecodeRequest(pd.raw[:])
+		if err != nil {
+			return nil, false
+		}
+		pd.op, pd.key = q.Kind, q.Key
+		pd.req = rpc.Request{
+			Conn: q.Conn, ID: q.ID, From: int(q.From), Deadline: q.Deadline,
+			Tenant: int(q.Tenant), Body: pd,
+		}
+		pd.parsed = true
+	}
+	return &pd.req, true
 }
 
 // storeVal is one key's state at its home server.
@@ -211,36 +159,33 @@ type storeVal struct {
 	live    bool
 }
 
-// Engine is the cluster-wide KV fabric state: one per simulation,
-// attached to every board (cluster.New does this).
+// Engine is the cluster-wide KV state: one per simulation, attached to
+// every board (cluster.New does this).
 type Engine struct {
 	cfg   *config.Config
-	k     *sim.Kernel
+	t     *rpc.Engine
 	nodes []*Node
 }
 
-// NewEngine returns an engine for a simulation using cfg on kernel k.
-func NewEngine(cfg *config.Config, k *sim.Kernel) *Engine {
-	return &Engine{cfg: cfg, k: k}
+// NewEngine returns an engine for a simulation using cfg.
+func NewEngine(cfg *config.Config) *Engine {
+	pb := cfg.PageBytes
+	return &Engine{cfg: cfg, t: rpc.NewService(cfg, rpc.Service{
+		Name: "kv", Op: opRequest, Heap: HeapBase, RxOffset: uint64(rxPage * pb),
+		MapBytes: (scratchPage + 1) * pb, ReqHeader: ReqBytes, RespHeader: respHeader,
+		Encode: encode, Decode: decode,
+	})}
 }
 
 // Node returns the endpoint attached for node i.
 func (e *Engine) Node(i int) *Node { return e.nodes[i] }
 
-// Attach registers the KV protocol handlers on b and returns the
-// node's endpoint. Registration costs nothing at run time; heap
-// mapping, channel setup and cache state appear only when a role is
-// configured.
+// Attach registers the KV protocol on b and returns the node's
+// endpoint. Registration costs nothing at run time; heap mapping,
+// buffers and cache state appear only when a role is configured.
 func (e *Engine) Attach(b *nic.Board) *Node {
-	n := &Node{
-		e:       e,
-		b:       b,
-		node:    b.Node(),
-		pending: make(map[uint64]*call),
-	}
-	b.Register(opRequest, false, n.onRequest)
-	b.Register(opResponse, false, n.onResponse)
-	b.Register(opDone, false, n.onDone)
+	n := &Node{Node: e.t.Attach(b), e: e, b: b}
+	n.SetHandler((*handler)(n))
 	e.nodes = append(e.nodes, n)
 	return n
 }
@@ -251,7 +196,7 @@ type ServerConfig struct {
 	// isolation off).
 	WorkQueue int
 	// FreeBufs is the total receive-buffer budget; with isolation on it
-	// is split evenly across the tenant channels (min 1 each).
+	// is split evenly across the tenants (min 1 each).
 	FreeBufs int
 	// ServiceGet / ServiceSet are the CPU costs of serving one GET /
 	// one SET-or-DELETE, in cycles.
@@ -265,150 +210,77 @@ type ServerConfig struct {
 	Clients int
 	// Tenants are the QoS classes; empty means one uncontracted tenant.
 	Tenants []tenant.Class
-	// Isolation turns the per-tenant machinery on: per-tenant device
-	// channels and buffer splits, token buckets, and the
-	// priority/weighted scheduler. Off, every arrival shares one
-	// channel, one pool and one FIFO regardless of tenant.
+	// Isolation turns the per-tenant machinery on: per-tenant credit
+	// shares, token buckets, and the priority/weighted scheduler. Off,
+	// every arrival shares one pool and one FIFO regardless of tenant.
 	Isolation bool
 }
 
-// Node is one machine's KV endpoint.
+// Node is one machine's KV endpoint: the transport endpoint (Serve,
+// WaitIdle, Done, the transport Stats) plus the store, the board
+// cache and the client's per-tenant ledgers.
 type Node struct {
-	e    *Engine
-	node int
-	b    *nic.Board
-
-	mappedPages int
+	*rpc.Node
+	e *Engine
+	b *nic.Board
 
 	// Server state.
-	serving  bool
-	sc       ServerConfig
-	classes  []tenant.Class
-	store    map[uint64]storeVal
-	sched    *tenant.Sched[*Request]
-	buckets  []tenant.Bucket
-	credits  []int          // per scheduling class (per tenant when isolated)
-	chans    []*adc.Channel // per-tenant device channels (nil slots off-ADC)
-	parkedq  []parkedReq
-	proc     *sim.Proc
-	doneSeen int
-	bcache   *boardCache
+	sc     ServerConfig
+	store  map[uint64]storeVal
+	bcache *boardCache
 
-	// Client state.
-	conns    []*Conn
-	nextConn uint32
-	nextID   uint64
-	pending  map[uint64]*call
-	waiter   *sim.Proc
-
-	Stats Stats
-	// Lat/HitLat/HostLat hold the exact samples behind the Stats
+	// Cache counts the response cache; Counters merges it with Stats.
+	Cache CacheStats
+	// HitLat/HostLat hold the exact samples behind the Cache latency
 	// histograms; TStats/TLat are the per-tenant ledgers (client side:
 	// outcomes and latency; sized by the largest tenant id seen).
-	Lat     rpc.Latencies
-	HitLat  rpc.Latencies
-	HostLat rpc.Latencies
+	HitLat  stats.Latencies
+	HostLat stats.Latencies
 	TStats  []tenant.Stats
-	TLat    []rpc.Latencies
+	TLat    []stats.Latencies
 }
+
+// Counters reports the node's KV counters, transport and cache.
+func (n *Node) Counters() Stats { return Stats{Stats: n.Stats, CacheStats: n.Cache} }
+
+// handler is the node as the transport's rpc.Handler, a Node under
+// another name (so installing it allocates nothing).
+type handler Node
+
+func (h *handler) Handle(p *sim.Proc, r *rpc.Request) { (*Node)(h).handle(p, r) }
+func (h *handler) Settled(r *rpc.Request)             { (*Node)(h).settled(r) }
+func (h *handler) Answered(at sim.Time, c *rpc.Call)  { (*Node)(h).answered(at, c) }
 
 // pageBytes is the node's page size.
 func (n *Node) pageBytes() uint64 { return uint64(n.e.cfg.PageBytes) }
 
-// mapHeap pins the first `pages` pages of the node's KV heap (device
-// channel region + TLB entries where the board has them).
-func (n *Node) mapHeap(pages int) {
-	if pages <= n.mappedPages {
-		return
-	}
-	n.b.MapPages(HeapBase+uint64(n.mappedPages)*n.pageBytes(),
-		(pages-n.mappedPages)*int(n.pageBytes()))
-	n.mappedPages = pages
-}
-
-func (n *Node) rxSlot() uint64      { return HeapBase + rxPage*n.pageBytes() }
 func (n *Node) scratchSlot() uint64 { return HeapBase + scratchPage*n.pageBytes() }
-func (n *Node) reqSlot(c *Conn) uint64 {
-	return HeapBase + (reqPage0+uint64(c.id)%reqPages)*n.pageBytes()
-}
-
-// tenantAt clamps a wire tenant id to the configured classes.
-func (n *Node) tenantAt(t uint16) int {
-	if int(t) < len(n.classes) {
-		return int(t)
-	}
-	return -1
-}
-
-// class maps a tenant to its scheduling class: itself under isolation,
-// the one shared class otherwise.
-func (n *Node) class(t int) int {
-	if n.sc.Isolation {
-		return t
-	}
-	return 0
-}
 
 // growTenant ensures the per-tenant ledgers cover tenant t.
 func (n *Node) growTenant(t int) {
 	for len(n.TStats) <= t {
 		n.TStats = append(n.TStats, tenant.Stats{})
-		n.TLat = append(n.TLat, rpc.Latencies{})
+		n.TLat = append(n.TLat, stats.Latencies{})
 	}
 }
 
 // StartServer configures the node to serve requests. Call before the
-// simulation runs; channels and free buffers are set up outside
-// simulated time, the OSIRIS setup discipline.
+// simulation runs; buffers are preposted outside simulated time, the
+// OSIRIS setup discipline.
 func (n *Node) StartServer(sc ServerConfig) {
-	if sc.WorkQueue <= 0 || sc.FreeBufs <= 0 {
-		panic(fmt.Sprintf("kv: node %d server with work queue %d, free bufs %d",
-			n.node, sc.WorkQueue, sc.FreeBufs))
-	}
 	if sc.ServiceGet <= 0 {
 		sc.ServiceGet = 1
 	}
 	if sc.ServiceSet <= 0 {
 		sc.ServiceSet = sc.ServiceGet
 	}
-	if len(sc.Tenants) == 0 {
-		sc.Tenants = []tenant.Class{{ID: 0}}
-	}
 	n.sc = sc
-	n.serving = true
 	n.store = make(map[uint64]storeVal)
-	n.classes = make([]tenant.Class, len(sc.Tenants))
-	for i, c := range sc.Tenants {
-		n.classes[i] = c.WithDefaults()
-	}
-	n.growTenant(len(n.classes) - 1)
-
-	cps := float64(n.e.cfg.CPUFreqMHz) * 1e6
-	if sc.Isolation {
-		n.sched = tenant.NewSched[*Request](n.classes, sc.WorkQueue)
-		n.buckets = make([]tenant.Bucket, len(n.classes))
-		for i, c := range n.classes {
-			n.buckets[i] = tenant.NewBucket(c, cps)
-		}
-		n.credits = make([]int, len(n.classes))
-		per := sc.FreeBufs / len(n.classes)
-		if per < 1 {
-			per = 1
-		}
-		for i := range n.credits {
-			n.credits[i] = per
-		}
-	} else {
-		// One shared class: no buckets, one FIFO, one pool.
-		n.sched = tenant.NewSched[*Request]([]tenant.Class{{ID: 0}}, sc.WorkQueue)
-		n.buckets = nil
-		n.credits = []int{sc.FreeBufs}
-	}
 
 	// The response cache and its slots, where the board can run it.
 	nslots := 0
 	if n.b.HandlersOnBoard() && n.e.cfg.NICResponseCache && n.b.MC != nil &&
-		n.sc.ValueBytes <= int(n.pageBytes()) {
+		sc.ValueBytes <= int(n.pageBytes()) {
 		frames := n.e.cfg.ResponseCacheFrames
 		if frames <= 0 {
 			frames = n.b.MC.Frames() / 2
@@ -417,202 +289,74 @@ func (n *Node) StartServer(sc ServerConfig) {
 			frames = limit
 		}
 		if frames > 0 {
-			nslots = 4 * frames
-			if nslots < 64 {
-				nslots = 64
-			}
+			nslots = max(4*frames, 64)
 			n.bcache = newBoardCache(n.b, HeapBase+slotPage0*n.pageBytes(),
 				n.pageBytes(), frames, nslots)
-			n.b.RegisterFilter(opRequest, n.boardFilter)
 		}
 	}
-	n.mapHeap(slotPage0 + nslots)
-
-	// Per-tenant device channels: the enqueue-time protection point,
-	// one per tenant, each with its own preposted free descriptors.
-	n.chans = make([]*adc.Channel, len(n.credits))
-	if n.b.ADC != nil {
-		region := adc.Region{Base: HeapBase, Len: uint64(slotPage0+nslots) * n.pageBytes()}
-		for i := range n.chans {
-			ch, err := n.b.ADC.Open(n.node, uint32(0x4B000000)|uint32(i), region)
-			if err != nil {
-				panic(fmt.Sprintf("kv: node %d opening tenant channel %d: %v", n.node, i, err))
-			}
-			n.chans[i] = ch
-		}
+	n.MapHeap((slotPage0 + nslots) * int(n.pageBytes()))
+	n.Node.StartServer(rpc.ServerConfig{
+		WorkQueue: sc.WorkQueue, FreeBufs: sc.FreeBufs, Policy: sc.Policy,
+		Clients: sc.Clients, Tenants: sc.Tenants, Isolation: sc.Isolation,
+	})
+	if n.bcache != nil {
+		n.SetFilter(n.boardFilter)
 	}
-	for i, c := range n.credits {
-		n.reconcileFree(i, c)
-	}
+	n.growTenant(max(len(sc.Tenants), 1) - 1)
 }
 
 // Preload installs key at version 1 in the serving node's store before
 // the simulation runs (a pre-populated dataset, so workload GETs hit
 // live keys instead of measuring a miss storm).
 func (n *Node) Preload(key uint64) {
-	if !n.serving {
-		panic(fmt.Sprintf("kv: node %d Preload before StartServer", n.node))
+	if n.store == nil {
+		panic(fmt.Sprintf("kv: node %d Preload before StartServer", n.b.Node()))
 	}
 	n.store[key] = storeVal{version: 1, live: true}
 }
 
-// reconcileFree settles scheduling class i's free ring to depth d (the
-// credits counter is the authority, exactly as in internal/rpc).
-func (n *Node) reconcileFree(i, d int) {
-	ch := n.chans[i]
-	if ch == nil {
-		return
-	}
-	for ch.Free.Len() > d {
-		ch.Free.Pop()
-	}
-	for ch.Free.Len() < d {
-		if err := ch.PostFree(adc.Descriptor{VAddr: n.rxSlot(), Len: int(n.pageBytes())}); err != nil {
-			panic(fmt.Sprintf("kv: node %d preposting tenant %d free buffer: %v", n.node, i, err))
-		}
-	}
-}
-
-// takeCredit claims a receive buffer from class i's free queue.
-func (n *Node) takeCredit(i int) bool {
-	if n.credits[i] <= 0 {
-		return false
-	}
-	n.credits[i]--
-	n.reconcileFree(i, n.credits[i])
-	return true
-}
-
-// releaseCredit returns class i's receive buffer.
-func (n *Node) releaseCredit(i int) {
-	n.credits[i]++
-	n.reconcileFree(i, n.credits[i])
-}
-
 // Conn is one logical client connection to a server node.
 type Conn struct {
+	*rpc.Conn
 	n        *Node
-	id       uint32
-	server   int
 	setBytes int
-	deadline sim.Time // relative; 0 = none
 }
 
 // Dial opens a logical connection from this node to server. setBytes
 // is the SET value payload size; deadline (cycles, 0 = none) bounds
 // each request issued on the connection.
 func (n *Node) Dial(server int, setBytes int, deadline sim.Time) *Conn {
-	if server == n.node {
-		panic(fmt.Sprintf("kv: node %d dialing itself", n.node))
-	}
-	n.mapHeap(scratchPage + 1)
-	// Node-local ids, same scheme as rpc: cross-node Dial interleaving
-	// must not influence the id (sharded runs dial concurrently).
-	c := &Conn{n: n, id: uint32(n.node)<<16 | n.nextConn, server: server, setBytes: setBytes, deadline: deadline}
-	n.nextConn++
-	n.conns = append(n.conns, c)
-	return c
+	return &Conn{Conn: n.Node.Dial(server, setBytes, deadline), n: n, setBytes: setBytes}
 }
 
-// Server reports the node the connection is dialed to.
-func (c *Conn) Server() int { return c.server }
-
-// issue builds, encodes and transmits one request from p's context,
-// measuring latency from issuedAt (the scheduled arrival under open
-// loop — send-path backup is part of the measured latency, no
-// coordinated omission).
-func (c *Conn) issue(p *sim.Proc, issuedAt sim.Time, kind Kind, tn int, key uint64) *call {
-	n := c.n
-	id := n.nextID
-	n.nextID++
-	var deadline sim.Time
-	if c.deadline > 0 {
-		deadline = issuedAt + c.deadline
-	}
-	ca := &call{issued: issuedAt, deadline: deadline, kind: kind, tenant: tn}
-	n.pending[id] = ca
-	n.Stats.Issued++
-	n.growTenant(tn)
-	n.TStats[tn].Issued++
-	req := &Request{
-		Kind: kind, Tenant: uint16(tn), Key: key,
-		Conn: c.id, ID: id, From: uint32(n.node), Deadline: deadline,
-	}
+// send encodes one request for tenant tn and hands it to the
+// transport, which measures latency from issuedAt (the scheduled
+// arrival under open loop — send-path backup is part of the measured
+// latency, no coordinated omission).
+func (c *Conn) send(p *sim.Proc, issuedAt sim.Time, kind Kind, tn int, key uint64) *rpc.Call {
+	c.n.growTenant(tn)
+	c.n.TStats[tn].Issued++
+	q := Request{Kind: kind, Key: key}
 	if kind == Set {
-		req.ValBytes = uint32(c.setBytes)
+		q.ValBytes = uint32(c.setBytes)
 	}
-	raw := EncodeRequest(nil, req)
-	m := &nic.Message{
-		From: n.node, To: c.server, Op: opRequest, Aux: c.id,
-		Size:    nic.HeaderBytes + ReqBytes + int(req.ValBytes),
-		VAddr:   n.reqSlot(c),
-		CacheTx: true,
-		Payload: &reqPDU{raw: raw},
-	}
-	if req.ValBytes > 0 {
-		m.DeliverVAddr = n.e.Node(c.server).rxSlot()
-		m.DeliverBytes = int(req.ValBytes)
-	}
-	n.b.Send(p, m)
-	return ca
+	pd := &reqPDU{kind: kind}
+	EncodeRequest(pd.raw[:0], &q)
+	return c.Issue(p, issuedAt, tn, int(q.ValBytes), pd)
 }
 
 // Fire issues one request asynchronously (open loop).
 func (c *Conn) Fire(p *sim.Proc, issuedAt sim.Time, kind Kind, tn int, key uint64) {
-	c.issue(p, issuedAt, kind, tn, key)
+	c.send(p, issuedAt, kind, tn, key)
 }
 
 // Call issues one request and blocks until its response arrives
 // (closed loop), reporting the outcome and the key's version.
 func (c *Conn) Call(p *sim.Proc, kind Kind, tn int, key uint64) (Outcome, uint64) {
 	p.Sync()
-	ca := c.issue(p, p.Local(), kind, tn, key)
-	ca.waiter = p
-	for !ca.done {
-		p.Block()
-	}
-	ca.waiter = nil
-	switch ca.outcome {
-	case flagNotFound:
-		return NotFound, ca.version
-	case flagRejected:
-		return Rejected, ca.version
-	case flagThrottled:
-		return Throttled, ca.version
-	case flagExpired:
-		return Expired, ca.version
-	default:
-		return OK, ca.version
-	}
-}
-
-// Outstanding reports the number of requests awaiting responses.
-func (n *Node) Outstanding() int { return len(n.pending) }
-
-// WaitIdle blocks p until every issued request has a terminal outcome.
-func (n *Node) WaitIdle(p *sim.Proc) {
-	p.Sync()
-	for len(n.pending) > 0 {
-		n.waiter = p
-		p.Block()
-		n.waiter = nil
-	}
-}
-
-// Done tells every dialed server this client is finished.
-func (n *Node) Done(p *sim.Proc) {
-	sent := map[int]bool{}
-	for _, c := range n.conns {
-		if sent[c.server] {
-			continue
-		}
-		sent[c.server] = true
-		n.b.Send(p, &nic.Message{
-			From: n.node, To: c.server, Op: opDone,
-			Size:    nic.HeaderBytes + 8,
-			Payload: &reqPDU{},
-		})
-	}
+	ca := c.send(p, p.Local(), kind, tn, key)
+	ca.Wait(p)
+	return ca.Outcome, ca.Val
 }
 
 // boardFilter is the CNI response-cache screening handler, running on
@@ -623,243 +367,75 @@ func (n *Node) Done(p *sim.Proc) {
 // the reply leaves with no DMA and the host never runs. A SET or
 // DELETE invalidates the key's entry right here, at the earliest
 // moment the board knows about the write, and opens the insert-veto
-// window that closes when the host resolves the write.
-func (n *Node) boardFilter(at sim.Time, m *nic.Message) bool {
-	pd := m.Payload.(*reqPDU)
-	if pd.raw == nil {
-		return false // done marker
-	}
-	req, err := DecodeRequest(pd.raw)
-	if err != nil {
-		return false // let the host count it
-	}
-	pd.req = &req
-	if n.tenantAt(req.Tenant) < 0 {
-		return false
-	}
-	switch req.Kind {
-	case Get:
-		e, ok := n.bcache.lookup(req.Key, at)
-		if !ok {
-			n.Stats.BoardMissed++
-			return false
+// window that closes when the host settles the write.
+func (n *Node) boardFilter(at sim.Time, r *rpc.Request) *nic.Message {
+	pd := r.Body.(*reqPDU)
+	if pd.op != Get {
+		if n.bcache.writeArrived(pd.key) {
+			n.Cache.WriteInvals++
 		}
-		n.Stats.BoardServed++
-		flag := flagOK
-		size := nic.HeaderBytes + 24 + n.sc.ValueBytes
-		resp := &nic.Message{
-			From: n.node, To: int(req.From), Op: opResponse, Aux: req.Conn,
-			Size:    size,
-			VAddr:   n.bcache.SlotAddr(req.Key),
-			CacheTx: true,
-			NoFlush: true, // board memory: there are no host cache lines to flush
-			Payload: &respMsg{
-				conn: req.Conn, id: req.ID, version: e.version,
-				tenant: req.Tenant, flag: flag, board: true,
-			},
-			DeliverVAddr: n.e.Node(int(req.From)).rxSlot(),
-			DeliverBytes: n.sc.ValueBytes,
-		}
-		n.b.SendAt(at, resp)
-		return true
-	case Set, Del:
-		if n.bcache.writeArrived(req.Key) {
-			n.Stats.WriteInvals++
-		}
-		return false
+		return nil
 	}
-	return false
+	e, ok := n.bcache.lookup(pd.key, at)
+	if !ok {
+		n.Cache.BoardMissed++
+		return nil
+	}
+	m := n.Reply(r, OK, e.version, n.sc.ValueBytes)
+	m.VAddr = n.bcache.SlotAddr(pd.key)
+	m.CacheTx = true
+	m.NoFlush = true // board memory: there are no host cache lines to flush
+	return m
 }
 
-// writeResolved closes the board-side write window for a SET/DELETE
-// that reached a terminal outcome on the host.
-func (n *Node) writeResolved(req *Request) {
-	if n.bcache != nil && req.Kind != Get {
-		n.bcache.writeDone(req.Key)
+// settled closes the board-side write window for a SET/DELETE the
+// server answered.
+func (n *Node) settled(r *rpc.Request) {
+	if pd := r.Body.(*reqPDU); n.bcache != nil && pd.op != Get {
+		n.bcache.writeDone(pd.key)
 	}
 }
 
-// onRequest is the server-side arrival handler, running at host-notify
-// time for requests the board filter did not consume. QoS and
-// admission run here, in order: the tenant's token bucket, then a
-// receive buffer from the tenant's channel, then a work-queue slot.
-func (n *Node) onRequest(at sim.Time, m *nic.Message) {
-	if !n.serving {
-		panic(fmt.Sprintf("kv: node %d received a request but is not serving", n.node))
-	}
-	pd := m.Payload.(*reqPDU)
-	if pd.req == nil {
-		req, err := DecodeRequest(pd.raw)
-		if err != nil {
-			n.Stats.Malformed++
-			return
-		}
-		pd.req = &req
-	}
-	req := pd.req
-	tn := n.tenantAt(req.Tenant)
-	if tn < 0 {
-		n.Stats.Malformed++
-		return
-	}
-	if n.sc.Isolation && !n.buckets[tn].Take(at) {
-		n.reject(at, req, flagThrottled)
-		n.writeResolved(req)
-		return
-	}
-	cl := n.class(tn)
-	switch {
-	case !n.takeCredit(cl):
-		n.Stats.FreeDry++
-		if n.sc.Policy == rpc.Shed {
-			n.reject(at, req, flagRejected)
-			n.writeResolved(req)
-		} else {
-			n.park(req, cl, false)
-		}
-	case !n.sched.Push(n.schedClass(cl), req):
-		n.Stats.QueueFull++
-		if n.sc.Policy == rpc.Shed {
-			n.reject(at, req, flagRejected)
-			n.writeResolved(req)
-			n.releaseCredit(cl)
-		} else {
-			n.park(req, cl, true)
-		}
-	default:
-		if n.proc != nil {
-			n.proc.WakeAt(at)
-		}
-	}
-}
-
-// schedClass maps a credit class to its scheduler queue (identity; the
-// scheduler is built over the same classes as the credit pools).
-func (n *Node) schedClass(cl int) int { return cl }
-
-// park holds req back under the Delay policy.
-func (n *Node) park(req *Request, cl int, holds bool) {
-	n.parkedq = append(n.parkedq, parkedReq{req: req, class: cl, holds: holds})
-	n.Stats.Delayed++
-	if len(n.parkedq) > n.Stats.ParkedPeak {
-		n.Stats.ParkedPeak = len(n.parkedq)
-	}
-}
-
-// reject sends an immediate control response from board/handler
-// context (no buffer, no DMA).
-func (n *Node) reject(at sim.Time, req *Request, flag uint32) {
-	n.b.SendAt(at, &nic.Message{
-		From: n.node, To: int(req.From), Op: opResponse, Aux: req.Conn,
-		Size: nic.HeaderBytes + 24,
-		Payload: &respMsg{
-			conn: req.Conn, id: req.ID, tenant: req.Tenant, flag: flag,
-		},
-	})
-}
-
-// complete returns a served request's receive buffer to class cl and
-// admits parked requests while room exists.
-func (n *Node) complete(cl int) {
-	n.releaseCredit(cl)
-	for len(n.parkedq) > 0 {
-		pe := n.parkedq[0]
-		if n.sched.QueueLen(n.schedClass(pe.class)) >= n.sc.WorkQueue {
-			break
-		}
-		if !pe.holds {
-			if n.credits[pe.class] <= 0 {
-				break
-			}
-			n.takeCredit(pe.class)
-		}
-		n.parkedq = n.parkedq[1:]
-		if !n.sched.Push(n.schedClass(pe.class), pe.req) {
-			panic(fmt.Sprintf("kv: node %d parked admit with a full queue", n.node))
-		}
-	}
-}
-
-// apply runs req against the store, returning the response flag and
+// apply runs op on key against the store, returning the outcome and
 // the key's (possibly new) version.
-func (n *Node) apply(req *Request) (uint32, uint64) {
-	v := n.store[req.Key]
-	switch req.Kind {
+func (n *Node) apply(op Kind, key uint64) (Outcome, uint64) {
+	v := n.store[key]
+	switch op {
 	case Set:
 		v.version++
 		v.live = true
-		n.store[req.Key] = v
-		return flagOK, v.version
+		n.store[key] = v
+		return OK, v.version
 	case Del:
 		v.version++
 		v.live = false
-		n.store[req.Key] = v
-		return flagOK, v.version
+		n.store[key] = v
+		return OK, v.version
 	default:
 		if !v.live {
-			return flagNotFound, v.version
+			return NotFound, v.version
 		}
-		return flagOK, v.version
+		return OK, v.version
 	}
 }
 
-// Serve runs the server loop on p: pop the scheduler's pick, charge
-// dequeue and service, apply the store operation, respond — from the
-// key's cache slot page when the response should be retained on the
-// board — and return the receive buffer. Returns once every client
-// has sent its done marker and the queues are empty.
-func (n *Node) Serve(p *sim.Proc) {
-	if !n.serving {
-		panic(fmt.Sprintf("kv: node %d Serve without StartServer", n.node))
+// handle serves one request for the transport: charge the operation's service
+// cost, apply it to the store and respond — a GET hit with its value,
+// anything else with a small ack or miss.
+func (n *Node) handle(p *sim.Proc, r *rpc.Request) {
+	pd := r.Body.(*reqPDU)
+	service := n.sc.ServiceGet
+	if pd.op != Get {
+		service = n.sc.ServiceSet
 	}
-	n.proc = p
-	dequeue := n.b.RecvDequeueCost()
-	for {
-		for n.sched.Len() > 0 {
-			req, cl, _ := n.sched.Pop()
-			p.Advance(dequeue)
-			p.Sync()
-			if req.Deadline > 0 && p.Local() > req.Deadline {
-				n.Stats.Served++
-				n.respondControl(p, req, flagExpired, 0)
-				n.writeResolved(req)
-				n.complete(cl)
-				continue
-			}
-			service := n.sc.ServiceGet
-			if req.Kind != Get {
-				service = n.sc.ServiceSet
-			}
-			p.Advance(service)
-			p.Sync()
-			flag, version := n.apply(req)
-			n.Stats.Served++
-			if req.Kind == Get && flag == flagOK {
-				n.respondValue(p, req, version)
-			} else {
-				n.respondControl(p, req, flag, version)
-			}
-			n.writeResolved(req)
-			n.complete(cl)
-		}
-		if n.doneSeen >= n.sc.Clients && n.sched.Len() == 0 && len(n.parkedq) == 0 {
-			return
-		}
-		p.Block()
+	p.Advance(service)
+	p.Sync()
+	out, version := n.apply(pd.op, pd.key)
+	if pd.op == Get && out == OK {
+		n.respondValue(p, r, pd.key, version)
+	} else {
+		n.b.Send(p, n.Reply(r, out, version, 0))
 	}
-}
-
-// respondControl sends a small ack/miss/expired response (no value
-// payload, no buffer).
-func (n *Node) respondControl(p *sim.Proc, req *Request, flag uint32, version uint64) {
-	n.b.Send(p, &nic.Message{
-		From: n.node, To: int(req.From), Op: opResponse, Aux: req.Conn,
-		Size: nic.HeaderBytes + 24,
-		Payload: &respMsg{
-			conn: req.Conn, id: req.ID, version: version,
-			tenant: req.Tenant, flag: flag,
-		},
-	})
 }
 
 // respondValue sends a GET's value response. The host composes the
@@ -869,111 +445,69 @@ func (n *Node) respondControl(p *sim.Proc, req *Request, flag uint32, version ui
 // retain the response it is transmitted from the key's slot page and
 // the page pinned after the transmit binds it; otherwise it leaves
 // from the shared scratch page, the plain hot-buffer path.
-func (n *Node) respondValue(p *sim.Proc, req *Request, version uint64) {
+func (n *Node) respondValue(p *sim.Proc, r *rpc.Request, key, version uint64) {
 	vaddr := n.scratchSlot()
 	retain := false
 	if n.bcache != nil {
-		if n.bcache.writePending(req.Key) {
-			n.Stats.InsertVetoes++
+		if n.bcache.writePending(key) {
+			n.Cache.InsertVetoes++
 		} else {
-			vaddr = n.bcache.SlotAddr(req.Key)
+			vaddr = n.bcache.SlotAddr(key)
 			retain = true
 		}
 	}
 	p.Advance(n.b.WriteBuffer(vaddr, n.sc.ValueBytes))
 	p.Sync()
-	m := &nic.Message{
-		From: n.node, To: int(req.From), Op: opResponse, Aux: req.Conn,
-		Size:    nic.HeaderBytes + 24 + n.sc.ValueBytes,
-		VAddr:   vaddr,
-		CacheTx: true,
-		Payload: &respMsg{
-			conn: req.Conn, id: req.ID, version: version,
-			tenant: req.Tenant, flag: flagOK,
-		},
-		DeliverVAddr: n.e.Node(int(req.From)).rxSlot(),
-		DeliverBytes: n.sc.ValueBytes,
-	}
+	m := n.Reply(r, OK, version, n.sc.ValueBytes)
+	m.VAddr = vaddr
+	m.CacheTx = true
 	n.b.Send(p, m)
 	if retain {
 		evictsBefore := n.bcache.valid
-		if n.bcache.insert(req.Key, version, p.Local()) {
-			n.Stats.Inserts++
+		if n.bcache.insert(key, version, p.Local()) {
+			n.Cache.Inserts++
 			if n.bcache.valid == evictsBefore {
 				// Same occupancy after an insert into a full budget or an
 				// occupied slot: something was displaced.
-				n.Stats.CacheEvicts++
+				n.Cache.CacheEvicts++
 			}
-		} else if n.bcache.writePending(req.Key) {
-			n.Stats.InsertVetoes++
+		} else if n.bcache.writePending(key) {
+			n.Cache.InsertVetoes++
 		} else {
-			n.Stats.PinFails++
+			n.Cache.PinFails++
 		}
 	}
 }
 
-// onResponse is the client-side arrival handler: match the request id,
-// record outcome and latency (split board-served vs host-served for
-// GETs), and wake whoever waits.
-func (n *Node) onResponse(at sim.Time, m *nic.Message) {
-	rm := m.Payload.(*respMsg)
-	ca, ok := n.pending[rm.id]
-	if !ok {
-		panic(fmt.Sprintf("kv: node %d response for unknown request %d", n.node, rm.id))
-	}
-	delete(n.pending, rm.id)
-	ca.done = true
-	ca.outcome = rm.flag
-	ca.version = rm.version
-	n.b.PenalizeHost(n.b.RecvDequeueCost())
-	tn := ca.tenant
+// answered is the client-side ledger: per-tenant outcomes and latency,
+// and the GET latency split between board-served and host-served.
+func (n *Node) answered(at sim.Time, c *rpc.Call) {
+	tn := c.Tenant
 	n.growTenant(tn)
 	ts := &n.TStats[tn]
-	switch rm.flag {
-	case flagOK, flagNotFound:
-		n.Stats.Completed++
+	switch c.Outcome {
+	case OK, NotFound:
 		ts.Completed++
-		lat := at - ca.issued
-		n.Lat.Add(lat)
-		n.Stats.Lat = n.Lat.Hist
+		lat := at - c.Issued
 		n.TLat[tn].Add(lat)
 		ts.Lat = n.TLat[tn].Hist
-		onTime := ca.deadline == 0 || at <= ca.deadline
-		if onTime {
+		if c.Deadline == 0 || at <= c.Deadline {
 			ts.OnTime++
-		} else {
-			n.Stats.DeadlineMiss++
 		}
-		if ca.kind == Get {
-			if rm.board {
+		if c.Body.(*reqPDU).kind == Get {
+			if c.Board {
 				n.HitLat.Add(lat)
-				n.Stats.HitLat = n.HitLat.Hist
+				n.Cache.HitLat = n.HitLat.Hist
 			} else {
 				n.HostLat.Add(lat)
-				n.Stats.HostLat = n.HostLat.Hist
+				n.Cache.HostLat = n.HostLat.Hist
 			}
 		}
-	case flagRejected:
-		n.Stats.Rejected++
+	case Rejected:
 		ts.Rejected++
-	case flagThrottled:
-		n.Stats.Throttled++
+	case Throttled:
 		ts.Throttled++
-	case flagExpired:
-		n.Stats.Expired++
+	case Expired:
 		ts.Expired++
-	}
-	if ca.waiter != nil {
-		ca.waiter.WakeAt(at)
-	} else if n.waiter != nil && len(n.pending) == 0 {
-		n.waiter.WakeAt(at)
-	}
-}
-
-// onDone is the server-side client-finished marker.
-func (n *Node) onDone(at sim.Time, m *nic.Message) {
-	n.doneSeen++
-	if n.proc != nil {
-		n.proc.WakeAt(at)
 	}
 }

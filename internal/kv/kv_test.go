@@ -355,3 +355,74 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestQueuePeakUnderDelayOverload overloads a small server under the
+// Delay policy: requests park, and the work queue's high-water mark
+// must be recorded, bounded by the configured queue.
+func TestQueuePeakUnderDelayOverload(t *testing.T) {
+	const reqs, workQueue = 80, 8
+	cfg := config.Default()
+	c := mustCluster(&cfg, 2)
+	res := c.Run(func(w *dsm.Worker) {
+		p, id := w.Proc(), w.Node()
+		node := c.KV.Node(id)
+		if id == 0 {
+			node.StartServer(kv.ServerConfig{
+				WorkQueue: workQueue, FreeBufs: 4, ServiceGet: 5000, ValueBytes: 256,
+				Policy: rpc.Delay, Clients: 1,
+			})
+			node.Serve(p)
+			return
+		}
+		conn := node.Dial(0, 64, 0)
+		for i := 0; i < reqs; i++ {
+			p.Sync()
+			conn.Fire(p, p.Local(), kv.Get, 0, uint64(i))
+		}
+		node.WaitIdle(p)
+		node.Done(p)
+	})
+	if res.KV.Served != reqs || res.KV.ParkedPeak == 0 {
+		t.Fatalf("served %d (want %d), parked peak %d (want > 0)",
+			res.KV.Served, reqs, res.KV.ParkedPeak)
+	}
+	if res.KV.QueuePeak <= 0 || res.KV.QueuePeak > workQueue {
+		t.Fatalf("QueuePeak = %d, want in (0, %d]", res.KV.QueuePeak, workQueue)
+	}
+}
+
+// TestUnknownTenantRejected sends a request naming a tenant the server
+// has no class for: the server must answer it Rejected (so the call
+// completes) and count it Malformed.
+func TestUnknownTenantRejected(t *testing.T) {
+	threeKinds(t, func(t *testing.T, cfg config.Config) {
+		c := mustCluster(&cfg, 2)
+		res := c.Run(func(w *dsm.Worker) {
+			p, id := w.Proc(), w.Node()
+			node := c.KV.Node(id)
+			if id == 0 {
+				node.StartServer(kv.ServerConfig{
+					WorkQueue: 8, FreeBufs: 8, ValueBytes: 256, Clients: 1,
+				})
+				node.Serve(p)
+				return
+			}
+			conn := node.Dial(0, 64, 0)
+			if out, _ := conn.Call(p, kv.Get, 1, 42); out != kv.Rejected {
+				t.Errorf("unknown tenant: outcome %v, want rejected", out)
+			}
+			if out, _ := conn.Call(p, kv.Set, 0, 42); out != kv.OK {
+				t.Errorf("known tenant after it: outcome %v, want ok", out)
+			}
+			node.WaitIdle(p)
+			node.Done(p)
+		})
+		if res.KV.Malformed != 1 || res.KV.Rejected != 1 || res.KV.Completed != 1 {
+			t.Fatalf("malformed/rejected/completed = %d/%d/%d, want 1/1/1",
+				res.KV.Malformed, res.KV.Rejected, res.KV.Completed)
+		}
+		if got := res.Tenants[1]; got.Issued != 1 || got.Rejected != 1 {
+			t.Fatalf("tenant 1 ledger %+v, want 1 issued, 1 rejected", got)
+		}
+	})
+}

@@ -1,18 +1,19 @@
 // Package tenant is the multi-tenant QoS layer of the serving stack:
 // token-bucket rate limits, strict and weighted-fair priorities, and
 // per-tenant latency accounting. It deliberately knows nothing about
-// boards or wire formats — the KV service applies these policies at
-// the existing enqueue-time protection point, where an arrival tries
-// to claim a descriptor from its tenant's device-channel free queue,
-// so protection and QoS are enforced at the same place and the same
-// moment, exactly as the ADC design argues they should be.
+// boards or wire formats — the request transport (internal/rpc)
+// applies these policies at the existing enqueue-time protection
+// point, where an arrival tries to claim a credit from its scheduling
+// class's share of the node's device-channel free queue, so protection
+// and QoS are enforced at the same place and the same moment, exactly
+// as the ADC design argues they should be.
 package tenant
 
 import (
 	"fmt"
 
-	"cni/internal/rpc"
 	"cni/internal/sim"
+	"cni/internal/stats"
 )
 
 // Class is one tenant's QoS contract.
@@ -51,7 +52,7 @@ func (c Class) WithDefaults() Class {
 }
 
 // Stats is one tenant's serving ledger. It is comparable and merges
-// across nodes, like rpc.Stats.
+// across nodes, like the transport's own counters.
 type Stats struct {
 	Issued    uint64 // requests the workload offered
 	Completed uint64 // OK responses received by clients
@@ -59,7 +60,7 @@ type Stats struct {
 	Rejected  uint64 // shed by server admission (queue or buffers)
 	Throttled uint64 // shed by the tenant's token bucket
 	Expired   uint64 // dropped server-side past their deadline
-	Lat       rpc.Hist
+	Lat       stats.Hist
 }
 
 // Merge folds o into s.

@@ -115,7 +115,7 @@ func (t *torus) Route(src, dst int, buf []Hop) []Hop {
 	want := t.coords(dst)
 	for d := 0; d < 3; d++ {
 		ext := t.dims[d]
-		fwd := ((want[d] - cur[d]) % ext + ext) % ext
+		fwd := ((want[d]-cur[d])%ext + ext) % ext
 		bwd := ext - fwd
 		for cur[d] != want[d] {
 			if fwd <= bwd {

@@ -10,6 +10,7 @@ import (
 	"cni/internal/kv"
 	"cni/internal/rpc"
 	"cni/internal/sim"
+	"cni/internal/stats"
 	"cni/internal/tenant"
 )
 
@@ -49,7 +50,7 @@ type KVSpec struct {
 	Deadline   sim.Time // per-request deadline, cycles (0 = none)
 
 	Tenants   []KVTenant // default: one uncontracted tenant, 500 req
-	Isolation bool       // per-tenant channels, buckets and scheduling
+	Isolation bool       // per-tenant credit shares, buckets and scheduling
 
 	// Server knobs (kv.ServerConfig).
 	WorkQueue  int
@@ -135,12 +136,12 @@ type KVReport struct {
 	Res   *cluster.Result
 	Stats kv.Stats
 
-	Lat     rpc.Latencies // all completed requests
-	HitLat  rpc.Latencies // GETs served by the NIC-resident cache
-	HostLat rpc.Latencies // GETs served by the host
+	Lat     stats.Latencies // all completed requests
+	HitLat  stats.Latencies // GETs served by the NIC-resident cache
+	HostLat stats.Latencies // GETs served by the host
 
 	Tenants   []tenant.Stats
-	TenantLat []rpc.Latencies
+	TenantLat []stats.Latencies
 
 	Wall    sim.Time
 	Seconds float64

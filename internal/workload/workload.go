@@ -22,6 +22,7 @@ import (
 	"cni/internal/dsm"
 	"cni/internal/rpc"
 	"cni/internal/sim"
+	"cni/internal/stats"
 )
 
 // Spec describes one synthetic serving run. Nodes 0..Servers-1 serve;
@@ -95,8 +96,8 @@ func (s Spec) Validate() error {
 // Report is the outcome of one run.
 type Report struct {
 	Res   *cluster.Result
-	Stats rpc.Stats     // aggregate over all nodes (== Res.RPC)
-	Lat   rpc.Latencies // exact samples (== Res.RPCLat)
+	Stats rpc.Stats       // aggregate over all nodes (== Res.RPC)
+	Lat   stats.Latencies // exact samples (== Res.RPCLat)
 
 	Wall    sim.Time // wall time in cycles
 	Seconds float64  // wall time in seconds at cfg.CPUFreqMHz
