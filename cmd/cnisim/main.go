@@ -388,7 +388,7 @@ func main() {
 			res.Coll.Episodes, res.Coll.BoardCombined, res.Coll.HostHandled, res.Coll.Latency.Mean())
 	}
 	ownWhere := "host interrupt path"
-	if c.Nodes[0].Board.ProtocolStateOnBoard() {
+	if c.Nodes[0].Board.HandlersOnBoard() {
 		ownWhere = "board-resident AIHs"
 	}
 	fmt.Printf("  dsm %-11s    %12d faults   %d invalidations   manager msgs %d (hottest node %d: %d)   %s\n",

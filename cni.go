@@ -56,7 +56,7 @@ type Config = config.Config
 // NICKind selects the network interface model.
 type NICKind = config.NICKind
 
-// The registered interface models: the two the paper compares plus the
+// The interface models: the two the paper compares plus the
 // OSIRIS-class baseline the CNI derives from.
 const (
 	NICStandard = config.NICStandard
@@ -64,8 +64,7 @@ const (
 	NICOsiris   = config.NICOsiris
 )
 
-// NICKinds lists every registered interface model in registration
-// order; NICKindNames lists their command-line names ("standard",
+// NICKinds lists every interface model in table order; NICKindNames lists their command-line names ("standard",
 // "cni", "osiris"); NICKindByName resolves such a name back to its
 // kind.
 func NICKinds() []NICKind                       { return config.Kinds() }
@@ -74,11 +73,12 @@ func NICKindByName(name string) (NICKind, bool) { return config.KindByName(name)
 
 // ConfigFor returns the default configuration for the given interface.
 // It is the single source of truth for configuration defaults: every
-// registered interface shares every Table 1 parameter and calibration
-// constant and differs only in the NIC selector and the four
-// board-feature knobs only the CNI has — ReceiveCaching,
-// TransmitCaching, ConsistencySnooping (the Message Cache and its bus
-// snooper) and NICCollectives (the board-resident collective engine).
+// interface shares every Table 1 parameter and calibration constant
+// and differs only in the NIC selector and the five board-feature
+// knobs only the CNI has — ReceiveCaching, TransmitCaching,
+// ConsistencySnooping (the Message Cache and its bus snooper),
+// NICResponseCache and NICCollectives (the board-resident response
+// cache and collective engine).
 func ConfigFor(kind NICKind) Config { return config.ForNIC(kind) }
 
 // DefaultConfig returns the Table 1 machine with the CNI board:

@@ -5,6 +5,12 @@
 // bus, ATM network, NIC boards, DSM — reads its costs from here, so a
 // single Config fully determines a simulation.
 //
+// The three interface models (NICKind: standard, OSIRIS, CNI) differ in
+// exactly two facts, kept in one fixed table: whether the host reaches
+// the board through user-level queues, and whether protocol handlers
+// run on the board. internal/nic derives every per-model cost from
+// them, so no layer above it switches on the kind.
+//
 // All simulation times are expressed in CPU cycles of the host
 // processor (166 MHz in Table 1, so one cycle is ~6 ns); the conversion
 // helpers on Config translate nanoseconds, bus cycles and NIC-processor
@@ -68,81 +74,43 @@ const (
 	NICOsiris
 )
 
-// KindSpec describes one registered interface model: the selector, its
-// flag-style and display names, and the tune hook that turns the shared
-// Table 1 base configuration into that model's defaults. Models are
-// registered at init time; ForNIC, Validate and the NICKind string
-// methods all consult the registry, so adding a model is one
-// RegisterKind call plus a datapath implementation in internal/nic.
-type KindSpec struct {
-	Kind    NICKind
-	Name    string        // flag-style name, e.g. "osiris" (NICKind.String)
-	Display string        // series-label capitalization, e.g. "Osiris"
-	Tune    func(*Config) // mutates the base Config into this model's defaults (nil = base)
+// kindFacts is one interface model: its flag-style and display names
+// and the two facts every cost difference between the models follows
+// from.
+type kindFacts struct {
+	name    string // flag-style name, e.g. "osiris" (NICKind.String)
+	display string // series-label capitalization, e.g. "Osiris"
+	// userQueues: the host reaches the board through Application
+	// Device Channel queues mapped into user space (OSIRIS, CNI).
+	userQueues bool
+	// handlersOnBoard: the board runs protocol code as Application
+	// Interrupt Handlers next to a Message Cache and PATHFINDER, and
+	// notifies the host by the poll/interrupt hybrid (CNI only).
+	handlersOnBoard bool
 }
 
-// kindRegistry holds the registered models in registration order.
-var kindRegistry []KindSpec
-
-// RegisterKind adds an interface model to the registry. Duplicate
-// selectors or names are programming errors.
-func RegisterKind(s KindSpec) {
-	if s.Name == "" {
-		panic("config: RegisterKind with empty name")
-	}
-	for _, have := range kindRegistry {
-		if have.Kind == s.Kind || have.Name == s.Name {
-			panic(fmt.Sprintf("config: NIC kind %d (%q) registered twice", int(s.Kind), s.Name))
-		}
-	}
-	kindRegistry = append(kindRegistry, s)
+// kindTable is the fixed set of interface models, indexed by NICKind.
+var kindTable = [...]kindFacts{
+	NICStandard: {name: "standard", display: "Standard"},
+	NICCNI:      {name: "cni", display: "CNI", userQueues: true, handlersOnBoard: true},
+	NICOsiris:   {name: "osiris", display: "Osiris", userQueues: true},
 }
 
-func init() {
-	RegisterKind(KindSpec{Kind: NICStandard, Name: "standard", Display: "Standard",
-		Tune: func(c *Config) {
-			c.ReceiveCaching = false
-			c.TransmitCaching = false
-			c.ConsistencySnooping = false
-			c.NICResponseCache = false
-			c.NICCollectives = false
-		}})
-	RegisterKind(KindSpec{Kind: NICCNI, Name: "cni", Display: "CNI"})
-	RegisterKind(KindSpec{Kind: NICOsiris, Name: "osiris", Display: "Osiris",
-		Tune: func(c *Config) {
-			c.ReceiveCaching = false
-			c.TransmitCaching = false
-			c.ConsistencySnooping = false
-			c.NICResponseCache = false
-			c.NICCollectives = false
-		}})
-}
-
-// kindSpec looks a registered model up by selector.
-func kindSpec(k NICKind) (KindSpec, bool) {
-	for _, s := range kindRegistry {
-		if s.Kind == k {
-			return s, true
-		}
-	}
-	return KindSpec{}, false
-}
-
-// Kinds returns the registered model selectors in registration order.
+// Kinds returns the model selectors in table order.
 func Kinds() []NICKind {
-	out := make([]NICKind, len(kindRegistry))
-	for i, s := range kindRegistry {
-		out[i] = s.Kind
+	out := make([]NICKind, len(kindTable))
+	for i := range kindTable {
+		out[i] = NICKind(i)
 	}
 	return out
 }
 
-// KindNames returns the registered flag-style names in registration
-// order (for command-line usage strings).
+// KindNames returns the flag-style names in table order (for
+// command-line usage strings).
 func KindNames() []string {
-	out := make([]string, len(kindRegistry))
-	for i, s := range kindRegistry {
-		out[i] = s.Name
+	out := make([]string, len(kindTable))
+	for i, f := range kindTable {
+		out[i] = f.name
 	}
 	return out
 }
@@ -150,24 +118,38 @@ func KindNames() []string {
 // KindByName resolves a flag-style name ("cni", "standard", "osiris")
 // to its selector.
 func KindByName(name string) (NICKind, bool) {
-	for _, s := range kindRegistry {
-		if s.Name == name {
-			return s.Kind, true
+	for i, f := range kindTable {
+		if f.name == name {
+			return NICKind(i), true
 		}
 	}
 	return 0, false
 }
 
-// Registered reports whether k names a registered interface model.
-func Registered(k NICKind) bool {
-	_, ok := kindSpec(k)
-	return ok
+// Registered reports whether k names an interface model.
+func Registered(k NICKind) bool { return k >= 0 && int(k) < len(kindTable) }
+
+// facts returns k's table row; an unknown kind is a programming error.
+func (k NICKind) facts() kindFacts {
+	if !Registered(k) {
+		panic(fmt.Sprintf("config: unknown NIC kind %d", int(k)))
+	}
+	return kindTable[k]
 }
+
+// UserLevelQueues reports whether the host reaches a k board through
+// user-space ADC queues, so a send costs the ADC enqueue rather than
+// the kernel path.
+func (k NICKind) UserLevelQueues() bool { return k.facts().userQueues }
+
+// HandlersOnBoard reports whether a k board runs protocol handlers,
+// and keeps their state, on its receive processor.
+func (k NICKind) HandlersOnBoard() bool { return k.facts().handlersOnBoard }
 
 // String implements fmt.Stringer.
 func (k NICKind) String() string {
-	if s, ok := kindSpec(k); ok {
-		return s.Name
+	if Registered(k) {
+		return kindTable[k].name
 	}
 	return fmt.Sprintf("NICKind(%d)", int(k))
 }
@@ -175,8 +157,8 @@ func (k NICKind) String() string {
 // Display returns the model's series-label capitalization ("CNI",
 // "Osiris", "Standard") for figures and tables.
 func (k NICKind) Display() string {
-	if s, ok := kindSpec(k); ok {
-		return s.Display
+	if Registered(k) {
+		return kindTable[k].display
 	}
 	return fmt.Sprintf("NICKind(%d)", int(k))
 }
@@ -382,14 +364,13 @@ func Default() Config { return ForNIC(NICCNI) }
 // ForNIC(NICStandard).
 func Standard() Config { return ForNIC(NICStandard) }
 
-// ForNIC returns the default configuration for the given registered
-// interface — the single source of truth Default and Standard wrap.
-// All models share every Table 1 parameter and calibration constant;
-// they differ only in the NIC selector and the board-feature knobs
-// their KindSpec.Tune hook turns off relative to the CNI-flavored
-// base: ReceiveCaching, TransmitCaching, ConsistencySnooping (the
-// Message Cache and its bus snooper) and NICCollectives (the
-// board-resident collective engine).
+// ForNIC returns the default configuration for the given interface —
+// the single source of truth Default and Standard wrap. All models
+// share every Table 1 parameter and calibration constant; a model
+// without board handlers has no Message Cache and nowhere to run board
+// code, so ForNIC turns off the five CNI board knobs for it:
+// ReceiveCaching, TransmitCaching, ConsistencySnooping (the Message
+// Cache and its bus snooper), NICResponseCache and NICCollectives.
 func ForNIC(kind NICKind) Config {
 	c := Config{
 		CPUFreqMHz:          166,
@@ -458,16 +439,12 @@ func ForNIC(kind NICKind) Config {
 		RetransmitBackoff:   16,
 		NICRetransmitCycles: 24,
 
-		NIC:  NICCNI,
+		NIC:  kind,
 		Seed: 1,
 	}
-	spec, ok := kindSpec(kind)
-	if !ok {
-		panic(fmt.Sprintf("config: ForNIC(%v): unregistered NIC kind", kind))
-	}
-	c.NIC = kind
-	if spec.Tune != nil {
-		spec.Tune(&c)
+	if !kind.HandlersOnBoard() {
+		c.ReceiveCaching, c.TransmitCaching, c.ConsistencySnooping = false, false, false
+		c.NICResponseCache, c.NICCollectives = false, false
 	}
 	return c
 }

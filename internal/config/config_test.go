@@ -14,16 +14,27 @@ func TestDefaultValidates(t *testing.T) {
 	}
 }
 
-func TestStandardDisablesCNIFeatures(t *testing.T) {
-	c := Standard()
-	if c.NIC != NICStandard {
-		t.Fatalf("NIC = %v", c.NIC)
+// TestBoardKnobsFollowHandlersOnBoard: the CNI default has all five
+// board knobs on, and every kind without board handlers has all five
+// off.
+func TestBoardKnobsFollowHandlersOnBoard(t *testing.T) {
+	if !NICCNI.HandlersOnBoard() || NICOsiris.HandlersOnBoard() || NICStandard.HandlersOnBoard() {
+		t.Fatal("only the CNI runs handlers on the board")
 	}
-	if c.TransmitCaching || c.ReceiveCaching || c.ConsistencySnooping {
-		t.Fatal("standard interface must not have Message Cache features")
-	}
-	if ForNIC(NICStandard).NIC != NICStandard || ForNIC(NICCNI).NIC != NICCNI {
-		t.Fatal("ForNIC returned wrong kind")
+	for _, kind := range Kinds() {
+		c := ForNIC(kind)
+		knobs := map[string]bool{
+			"ReceiveCaching":      c.ReceiveCaching,
+			"TransmitCaching":     c.TransmitCaching,
+			"ConsistencySnooping": c.ConsistencySnooping,
+			"NICResponseCache":    c.NICResponseCache,
+			"NICCollectives":      c.NICCollectives,
+		}
+		for name, on := range knobs {
+			if on != kind.HandlersOnBoard() {
+				t.Errorf("ForNIC(%v).%s = %v, want %v", kind, name, on, kind.HandlersOnBoard())
+			}
+		}
 	}
 }
 
@@ -310,16 +321,6 @@ func TestKindDisplay(t *testing.T) {
 	}
 	if NICKind(9).Display() == "" {
 		t.Fatal("unknown NICKind should still render a display name")
-	}
-}
-
-func TestOsirisDisablesCNIFeatures(t *testing.T) {
-	c := ForNIC(NICOsiris)
-	if c.NIC != NICOsiris {
-		t.Fatalf("NIC = %v", c.NIC)
-	}
-	if c.TransmitCaching || c.ReceiveCaching || c.ConsistencySnooping || c.NICCollectives {
-		t.Fatal("OSIRIS baseline must not have Message Cache or collective features")
 	}
 }
 

@@ -7,26 +7,24 @@ import (
 	"cni/internal/sim"
 )
 
-// TestDatapathRegistryCoversEveryKind: every kind the config registry
-// knows must have a datapath constructor, and building a board for it
-// must yield a datapath reporting that same kind.
+// TestDatapathRegistryCoversEveryKind: building a board for every kind
+// in the config table yields a board reporting that same kind and the
+// kind's two facts.
 func TestDatapathRegistryCoversEveryKind(t *testing.T) {
 	for _, kind := range config.Kinds() {
-		if _, ok := datapaths[kind]; !ok {
-			t.Errorf("no datapath registered for %v", kind)
-			continue
+		b := newRig(t, kind, nil).boards[0]
+		if b.Kind() != kind {
+			t.Errorf("board for %v reports kind %v", kind, b.Kind())
 		}
-		r := newRig(t, kind, nil)
-		dp := r.boards[0].Datapath()
-		if dp.Kind() != kind {
-			t.Errorf("datapath for %v reports kind %v", kind, dp.Kind())
+		if b.UserLevelQueues() != kind.UserLevelQueues() || b.HandlersOnBoard() != kind.HandlersOnBoard() {
+			t.Errorf("board for %v disagrees with the kind's facts", kind)
 		}
 	}
 }
 
-// TestDatapathCostsMatchModelConstants pins each cost hook to the
-// configuration constant it stood for before the strategy refactor, so
-// the refactor is provably behavior-preserving at the cost level.
+// TestDatapathCostsMatchModelConstants pins each per-model cost to the
+// configuration constants it stands for, per kind, so deriving the
+// costs from the two facts is provably the per-model table.
 func TestDatapathCostsMatchModelConstants(t *testing.T) {
 	cfg := config.Default()
 	ns := cfg.NSToCycles
@@ -73,27 +71,27 @@ func TestDatapathCostsMatchModelConstants(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		r := newRig(t, tc.kind, nil)
-		dp := r.boards[0].Datapath()
+		b := newRig(t, tc.kind, nil).boards[0]
 		check := func(name string, got, want sim.Time) {
 			if got != want {
 				t.Errorf("%v: %s = %d cycles, want %d", tc.kind, name, got, want)
 			}
 		}
-		check("SendCycles", dp.SendCycles(), tc.send)
-		check("HandlerSendCycles", dp.HandlerSendCycles(), tc.handlerSend)
-		check("RecvHostCycles", dp.RecvHostCycles(), tc.recvHost)
-		check("RecvDequeueCycles", dp.RecvDequeueCycles(), tc.recvDequeue)
-		check("WakeDelayCycles", dp.WakeDelayCycles(), tc.wake)
-		check("TimeoutHostCycles", dp.TimeoutHostCycles(), tc.timeout)
-		check("RetransmitBoardCycles", dp.RetransmitBoardCycles(), tc.retxBoard)
-		redma, host := dp.RelaunchFromHost()
-		if redma != tc.redma {
-			t.Errorf("%v: RelaunchFromHost redma = %v, want %v", tc.kind, redma, tc.redma)
+		check("send", b.sendCycles(), tc.send)
+		check("handler send", b.hostSendCycles(), tc.handlerSend)
+		check("receive host path", b.recvHostCycles(), tc.recvHost)
+		check("dequeue", b.RecvDequeueCost(), tc.recvDequeue)
+		check("wake delay", b.WakeDelay(), tc.wake)
+		check("timeout", b.timeoutHostCycles(), tc.timeout)
+		check("board retransmit", b.retransmitBoardCycles(), tc.retxBoard)
+		// A retransmit re-DMAs from host memory, after the host resend
+		// path, exactly when the board retains no copy.
+		if redma := !b.HandlersOnBoard(); redma != tc.redma {
+			t.Errorf("%v: relaunch re-DMAs = %v, want %v", tc.kind, redma, tc.redma)
 		}
-		check("RelaunchFromHost host", host, tc.relaunchHost)
-		check("ControlRxHostCycles", dp.ControlRxHostCycles(), tc.ctrlRx)
-		check("ControlTxHostCycles", dp.ControlTxHostCycles(), tc.ctrlTx)
+		check("relaunch host", b.hostSendCycles(), tc.relaunchHost)
+		check("control receive", b.controlRxHostCycles(), tc.ctrlRx)
+		check("control transmit", b.hostSendCycles(), tc.ctrlTx)
 	}
 }
 
@@ -101,12 +99,12 @@ func TestDatapathCostsMatchModelConstants(t *testing.T) {
 // branch on.
 func TestDatapathCapabilities(t *testing.T) {
 	cases := []struct {
-		kind                    config.NICKind
-		onBoard, userQ, charged bool
+		kind           config.NICKind
+		onBoard, userQ bool
 	}{
-		{config.NICCNI, true, true, false},
-		{config.NICOsiris, false, true, true},
-		{config.NICStandard, false, false, true},
+		{config.NICCNI, true, true},
+		{config.NICOsiris, false, true},
+		{config.NICStandard, false, false},
 	}
 	for _, tc := range cases {
 		r := newRig(t, tc.kind, nil)
@@ -117,13 +115,10 @@ func TestDatapathCapabilities(t *testing.T) {
 		if b.UserLevelQueues() != tc.userQ {
 			t.Errorf("%v: UserLevelQueues = %v", tc.kind, b.UserLevelQueues())
 		}
-		if b.ProtocolCharged() != tc.charged {
-			t.Errorf("%v: ProtocolCharged = %v", tc.kind, b.ProtocolCharged())
-		}
 	}
 }
 
-// TestBoardProvisioningPerKind: each constructor provisions exactly the
+// TestBoardProvisioningPerKind: NewBoard provisions exactly the
 // components its model owns — the CNI a Message Cache, PATHFINDER and a
 // device channel; OSIRIS only the channel; the standard board none.
 func TestBoardProvisioningPerKind(t *testing.T) {
@@ -209,15 +204,4 @@ func TestOsirisReceiveInterrupts(t *testing.T) {
 	if r.boards[1].Stats.Polls != 0 {
 		t.Fatalf("Polls = %d, want 0", r.boards[1].Stats.Polls)
 	}
-}
-
-// TestRegisterDatapathRejectsDuplicates mirrors the config registry's
-// duplicate guard.
-func TestRegisterDatapathRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	RegisterDatapath(config.NICCNI, newCNIPath)
 }

@@ -1,14 +1,21 @@
-// Package nic models the network adaptor boards of the CNI paper. A
-// Board is the kind-independent shell — queues, AIH dispatch, ATM
-// framing, go-back-N reliability, stats — and delegates every
-// kind-specific decision (send launch, receive delivery, host
-// notification, retransmit source, host-penalty accounting) to a
-// Datapath strategy looked up by config.NICKind: the CNI board itself
-// (Application Device Channels, Message Cache, PATHFINDER
-// demultiplexing, Application Interrupt Handlers), the OSIRIS-class
-// ADC baseline it derives from (user-level queues, interrupt-driven
-// receive, no Message Cache), and the standard kernel-mediated
-// interface the evaluation compares against. See datapath.go.
+// Package nic models the network adaptor boards of the CNI paper: the
+// CNI board itself, the OSIRIS-class board it derives from, and the
+// standard kernel-mediated interface the evaluation compares against.
+// One Board type models all three from the two facts config keeps per
+// NICKind:
+//
+//   - user-level queues (OSIRIS, CNI): the host reaches the board
+//     through an Application Device Channel, so sends and dequeues cost
+//     the ADC enqueue/dequeue instead of the kernel paths;
+//   - handlers on board (CNI only): the board has a Message Cache with
+//     bus snooping, PATHFINDER demultiplexing and Application Interrupt
+//     Handlers, keeps protocol state and retransmit copies in board
+//     memory, and notifies the host by the poll/interrupt hybrid.
+//     Without it every arrival interrupts the host, protocol code and
+//     retransmit timers run there, and a retransmit re-DMAs the buffer.
+//
+// Every per-model cost is a method on Board computed from those two
+// facts (see "Per-model costs" below).
 //
 // A Board sits between the host (simulated processors, package sim;
 // caches, package memsys) and the fabric (package atm). Timing flows
@@ -161,8 +168,7 @@ type Stats struct {
 	Rel          RelStats
 }
 
-// Board is one node's network interface: the kind-independent shell
-// around a Datapath strategy.
+// Board is one node's network interface.
 type Board struct {
 	kind config.NICKind
 	k    *sim.Kernel
@@ -171,17 +177,18 @@ type Board struct {
 	net  *atm.Network
 	mem  *memsys.Hierarchy
 
-	// dp supplies every kind-specific policy and cost; its constructor
-	// provisioned whichever of the components below the model owns.
-	dp Datapath
+	// The two facts of the model (config.NICKind) every cost follows
+	// from.
+	userQueues bool
+	onBoard    bool
 
 	bus    *sim.Resource // host memory bus (DMA engine side)
 	txProc *sim.Resource
 	rxProc *sim.Resource
 
-	// Model-owned components, provisioned by the datapath constructor.
-	// MC is exported for experiment harnesses that read hit ratios; it
-	// is nil on boards without a Message Cache.
+	// Model-owned components: MC and PF exist iff handlers run on the
+	// board, ADC iff the host has user-level queues. MC is exported for
+	// experiment harnesses that read hit ratios.
 	MC  *msgcache.Cache
 	PF  *pathfinder.Classifier
 	ADC *adc.Manager
@@ -191,6 +198,13 @@ type Board struct {
 	// there), and host-path arrivals enqueue completions on its
 	// receive queue for the poller. Nil on the standard board.
 	channel *adc.Channel
+
+	// The poll/interrupt hybrid's state (handlers on board): whether
+	// the board has notified the host before, when, and how close
+	// together arrivals must land for the host to stay in polling mode.
+	lastHostNotify sim.Time
+	haveNotified   bool
+	pollWindow     sim.Time
 
 	// rel is the per-VC go-back-N reliability layer; nil on the
 	// default lossless fabric, so the fault-free paths are untouched.
@@ -204,22 +218,39 @@ type Board struct {
 	Stats Stats
 }
 
-// NewBoard builds the board for node and attaches it to the fabric.
-// The configured NIC kind must have a registered datapath.
+// NewBoard builds the board for node, provisions the components its
+// model owns, and attaches it to the fabric.
 func NewBoard(k *sim.Kernel, cfg *config.Config, node int, net *atm.Network, mem *memsys.Hierarchy) *Board {
 	b := &Board{
-		kind:     cfg.NIC,
-		k:        k,
-		cfg:      cfg,
-		node:     node,
-		net:      net,
-		mem:      mem,
-		bus:      sim.NewResource("bus" + strconv.Itoa(node)),
-		txProc:   sim.NewResource("txproc" + strconv.Itoa(node)),
-		rxProc:   sim.NewResource("rxproc" + strconv.Itoa(node)),
-		handlers: make(map[uint32]handlerEntry),
+		kind:       cfg.NIC,
+		k:          k,
+		cfg:        cfg,
+		node:       node,
+		net:        net,
+		mem:        mem,
+		bus:        sim.NewResource("bus" + strconv.Itoa(node)),
+		txProc:     sim.NewResource("txproc" + strconv.Itoa(node)),
+		rxProc:     sim.NewResource("rxproc" + strconv.Itoa(node)),
+		handlers:   make(map[uint32]handlerEntry),
+		userQueues: cfg.NIC.UserLevelQueues(),
+		onBoard:    cfg.NIC.HandlersOnBoard(),
 	}
-	b.dp = newDatapath(b)
+	if b.onBoard {
+		b.MC = msgcache.New(cfg.MessageCacheByte, cfg.PageBytes, cfg.ConsistencySnooping)
+		b.PF = pathfinder.New()
+		if cfg.PollSwitchRate > 0 {
+			cyclesPerSecond := float64(cfg.CPUFreqMHz) * 1e6
+			b.pollWindow = sim.Time(cyclesPerSecond / cfg.PollSwitchRate)
+		}
+	}
+	if b.userQueues {
+		b.ADC = adc.NewManager(64, 256)
+		ch, err := b.ADC.Open(node, uint32(node))
+		if err != nil {
+			panic(fmt.Sprintf("nic: opening device channel: %v", err))
+		}
+		b.channel = ch
+	}
 	if cfg.FaultsEnabled() {
 		b.rel = newReliability(b)
 	}
@@ -233,38 +264,132 @@ func (b *Board) Node() int { return b.node }
 // Kind reports the board variant.
 func (b *Board) Kind() config.NICKind { return b.kind }
 
-// Datapath exposes the board's kind-specific policy object (tests and
-// cost audits).
-func (b *Board) Datapath() Datapath { return b.dp }
+// --- the two facts: upper layers (dsm, collective, rpc, kv,
+// experiments) ask these instead of switching on the NIC kind ---
 
-// --- capability accessors: the upper layers (dsm, collective, rpc,
-// experiments) ask the datapath through these instead of switching on
-// the NIC kind ---
-
-// HandlersOnBoard reports whether registered handlers may run as
-// Application Interrupt Handlers on the board.
-func (b *Board) HandlersOnBoard() bool { return b.dp.HandlersOnBoard() }
+// HandlersOnBoard reports whether registered handlers run as
+// Application Interrupt Handlers on the board, with their protocol
+// state (probable-owner tables, parked requests) in board memory. When
+// false, host-handled arrivals have already paid the host protocol
+// cost on the receive path.
+func (b *Board) HandlersOnBoard() bool { return b.onBoard }
 
 // UserLevelQueues reports whether the host reaches this board through
 // user-space ADC queues.
-func (b *Board) UserLevelQueues() bool { return b.dp.UserLevelQueues() }
+func (b *Board) UserLevelQueues() bool { return b.userQueues }
 
-// ProtocolCharged reports whether the receive path already charged the
-// host its protocol-processing cost for host-handled arrivals.
-func (b *Board) ProtocolCharged() bool { return b.dp.ProtocolCharged() }
-
-// ProtocolStateOnBoard reports whether per-connection protocol state
-// (probable-owner tables, parked requests) is pinned in board memory
-// next to the AIHs, so forwarding decisions never touch host memory.
-func (b *Board) ProtocolStateOnBoard() bool { return b.dp.ProtocolStateOnBoard() }
+// --- Per-model costs, all in host CPU cycles ---
 
 // RecvDequeueCost is the application's cost to pop one completion from
 // its receive queue (zero when the kernel hands the data over).
-func (b *Board) RecvDequeueCost() sim.Time { return b.dp.RecvDequeueCycles() }
+func (b *Board) RecvDequeueCost() sim.Time {
+	if b.userQueues {
+		return b.cfg.NSToCycles(b.cfg.ADCRecvNS)
+	}
+	return 0
+}
 
 // WakeDelay is the extra latency before a blocked application thread
 // notices a completion (the CNI's receive-queue poll; zero elsewhere).
-func (b *Board) WakeDelay() sim.Time { return b.dp.WakeDelayCycles() }
+func (b *Board) WakeDelay() sim.Time {
+	if b.onBoard {
+		return b.cfg.NSToCycles(b.cfg.PollNS)
+	}
+	return 0
+}
+
+// sendCycles is the host cost of Send beyond the cache flush: the ADC
+// enqueue or the kernel send path.
+func (b *Board) sendCycles() sim.Time {
+	if b.userQueues {
+		return b.cfg.NSToCycles(b.cfg.ADCSendNS)
+	}
+	return b.cfg.NSToCycles(b.cfg.KernelSendNS)
+}
+
+// hostSendCycles is the host cost of a send the protocol issues from
+// handler context: a handler reply (SendAt), a retransmit's resend, an
+// ACK/NAK cell. Zero when the protocol runs on the board and the host
+// is never involved; the host send path otherwise.
+func (b *Board) hostSendCycles() sim.Time {
+	if b.onBoard {
+		return 0
+	}
+	return b.sendCycles()
+}
+
+// recvHostCycles is the host-path cost added to both the notify latency
+// and the host penalty of a host-handled arrival: protocol processing
+// unless handlers run on the board, plus the kernel receive path
+// unless the ADC hands the completion to user space.
+func (b *Board) recvHostCycles() sim.Time {
+	var ns int64
+	if !b.onBoard {
+		ns += b.cfg.HostProtocolNS
+	}
+	if !b.userQueues {
+		ns += b.cfg.KernelRecvNS
+	}
+	return b.cfg.NSToCycles(ns)
+}
+
+// interrupt accounts one host interrupt and returns its cost.
+func (b *Board) interrupt() sim.Time {
+	b.Stats.Interrupts++
+	return b.cfg.InterruptCycles()
+}
+
+// notify gets the host's attention at time at, returning when the host
+// notices and the CPU cycles stolen from it. With handlers on board the
+// host polls while arrivals are frequent and falls back to interrupts
+// when the channel has gone quiet (Section 2.1); every other board
+// interrupts.
+func (b *Board) notify(at sim.Time) (notice, penalty sim.Time) {
+	if b.onBoard && !b.cfg.PureInterrupt {
+		polling := b.haveNotified && at-b.lastHostNotify <= b.pollWindow
+		b.haveNotified = true
+		b.lastHostNotify = at
+		if polling {
+			b.Stats.Polls++
+			c := b.cfg.NSToCycles(b.cfg.PollNS)
+			return at + c, c
+		}
+	}
+	c := b.interrupt()
+	return at + c, c
+}
+
+// timeoutHostCycles is the host cost of a retransmit-timer expiry: a
+// kernel timer interrupt unless the timer lives on the board.
+func (b *Board) timeoutHostCycles() sim.Time {
+	if b.onBoard {
+		return 0
+	}
+	return b.interrupt()
+}
+
+// retransmitBoardCycles is the transmit-processor bookkeeping per PDU
+// relaunched from a board-resident copy (zero when the board retains
+// none).
+func (b *Board) retransmitBoardCycles() sim.Time {
+	if b.onBoard {
+		return b.cfg.NICToCPU(b.cfg.NICRetransmitCycles)
+	}
+	return 0
+}
+
+// controlRxHostCycles is the host cost of receiving one ACK/NAK cell:
+// unless the protocol runs on the board, an interrupt plus the receive
+// path that pops the cell (ADC dequeue or kernel receive).
+func (b *Board) controlRxHostCycles() sim.Time {
+	if b.onBoard {
+		return 0
+	}
+	if b.userQueues {
+		return b.interrupt() + b.cfg.NSToCycles(b.cfg.ADCRecvNS)
+	}
+	return b.interrupt() + b.cfg.NSToCycles(b.cfg.KernelRecvNS)
+}
 
 // SetHostProc names the host CPU thread charged for interrupt service
 // on this node.
@@ -316,7 +441,7 @@ func (b *Board) RegisterPattern(op uint32, extra []pathfinder.Field, onNIC bool,
 // install records the handler entry for op; re-installing the same op
 // is allowed only for multi-pattern registration of one protocol.
 func (b *Board) install(op uint32, onNIC bool, h Handler) {
-	if !b.dp.HandlersOnBoard() {
+	if !b.onBoard {
 		onNIC = false
 	}
 	b.handlers[op] = handlerEntry{fn: h, onNIC: onNIC}
@@ -327,13 +452,13 @@ func (b *Board) install(op uint32, onNIC bool, h Handler) {
 // to answer repeat GETs from responses pinned in the Message Cache.
 // The filter runs on the receive processor at AIHHandlerCycles per
 // arrival; when it consumes a message the host never learns the
-// message existed. On a board whose datapath cannot run handlers
-// (OSIRIS, standard) the call is a no-op, so callers gate features on
+// message existed. On a board without handlers on board (OSIRIS,
+// standard) the call is a no-op, so callers gate features on
 // HandlersOnBoard rather than on board internals. op must already have
 // a host handler registered — a filter screens a protocol, it does not
 // define one.
 func (b *Board) RegisterFilter(op uint32, f BoardFilter) {
-	if !b.dp.HandlersOnBoard() {
+	if !b.onBoard {
 		return
 	}
 	e, ok := b.handlers[op]
@@ -458,7 +583,7 @@ func (b *Board) Send(p *sim.Proc, m *Message) sim.Time {
 		}
 		m.viaChannel = true
 	}
-	overhead += b.dp.SendCycles()
+	overhead += b.sendCycles()
 	p.Advance(overhead)
 	p.Sync()
 	b.transmit(p.Local(), m)
@@ -471,7 +596,7 @@ func (b *Board) Send(p *sim.Proc, m *Message) sim.Time {
 // path (kernel or ADC enqueue) and the flush run on — and are charged
 // to — the host CPU before the board sees the message.
 func (b *Board) SendAt(at sim.Time, m *Message) {
-	send := b.dp.HandlerSendCycles()
+	send := b.hostSendCycles()
 	if send == 0 {
 		b.transmit(at, m)
 		return
@@ -627,8 +752,8 @@ func (b *Board) receive(pkt *atm.Packet, at sim.Time) {
 			panic(fmt.Sprintf("nic: node %d receive queue overflow", b.node))
 		}
 	}
-	notify, penalty := b.dp.Notify(end)
-	if extra := b.dp.RecvHostCycles(); extra > 0 {
+	notify, penalty := b.notify(end)
+	if extra := b.recvHostCycles(); extra > 0 {
 		// Host receive path and/or protocol processing on the host CPU.
 		notify += extra
 		penalty += extra

@@ -202,7 +202,7 @@ func (r *reliability) onTimeout(s *vcTx, gen uint64) {
 	b := r.b
 	now := b.k.Now()
 	b.Stats.Rel.Timeouts++
-	if c := b.dp.TimeoutHostCycles(); c > 0 {
+	if c := b.timeoutHostCycles(); c > 0 {
 		b.penalizeHost(c)
 		now += c
 	}
@@ -252,9 +252,7 @@ func (r *reliability) onNak(peer int, expect uint32, at sim.Time) {
 // from and opens the NAK mute window for the burst's flight time. The
 // walk is synchronous — the firmware sweeps the retained window inside
 // the timeout/NAK activation itself, so the whole go-back-N train is
-// relaunched before any other same-cycle event gets to run. (Deferring
-// the relaunches to same-timestamp events via AtBatch would reorder
-// them after already-queued same-cycle work and perturb the goldens.)
+// relaunched before any other same-cycle event gets to run.
 func (r *reliability) retransmitFrom(at sim.Time, s *vcTx, from uint32) {
 	n := 0
 	var flight sim.Time
@@ -281,12 +279,12 @@ func (r *reliability) relaunch(at sim.Time, m *Message) {
 	b := r.b
 	cells := int64(b.cfg.Cells(m.Size))
 	work := b.cfg.NICToCPU(b.cfg.NICPacketTxCycles + b.cfg.NICCellTxCycles*cells)
-	work += b.dp.RetransmitBoardCycles()
+	work += b.retransmitBoardCycles()
 	b.Stats.Rel.RetxCycles += work
 	_, end := b.txProc.Use(at, work)
 	launch := end
-	if redma, host := b.dp.RelaunchFromHost(); redma {
-		b.penalizeHost(host)
+	if !b.onBoard {
+		b.penalizeHost(b.hostSendCycles())
 		if m.VAddr != 0 && m.Size > 0 {
 			_, dmaEnd := b.bus.Use(end, b.cfg.DMACycles(m.Size))
 			b.Stats.TxDMAs++
@@ -323,7 +321,7 @@ func (r *reliability) admit(pkt *atm.Packet, m *Message, at sim.Time) bool {
 			b.Stats.Rel.DropsSeen++
 			return false
 		}
-		if c := b.dp.ControlRxHostCycles(); c > 0 {
+		if c := b.controlRxHostCycles(); c > 0 {
 			// Host-run protocol: every control cell interrupts the host.
 			b.penalizeHost(c)
 			end += c
@@ -387,7 +385,7 @@ func (r *reliability) sendControl(at sim.Time, peer int, op, seq uint32) {
 	} else {
 		b.Stats.Rel.NaksSent++
 	}
-	if kc := b.dp.ControlTxHostCycles(); kc > 0 {
+	if kc := b.hostSendCycles(); kc > 0 {
 		b.penalizeHost(kc)
 		at += kc
 	}

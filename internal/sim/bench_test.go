@@ -4,8 +4,7 @@ package sim_test
 // Kernel` prints the calendar-versus-heap comparison directly:
 //
 //   - Sparse: events spread widely in time (little bucket sharing),
-//   - Tied: bursts of same-timestamp events (the hop-walk pattern the
-//     AtBatch API exists for),
+//   - Tied: bursts of same-timestamp events (the hop-walk pattern),
 //   - FarFuture: timers landing beyond the calendar window, exercising
 //     the overflow ladder (retransmit-timer pattern).
 //
@@ -48,20 +47,17 @@ func BenchmarkKernelSparse(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelTied schedules bursts of simultaneous events via
-// AtBatch — the cells-of-one-PDU pattern — and drains them.
+// BenchmarkKernelTied schedules bursts of simultaneous events — the
+// cells-of-one-PDU pattern — and drains them.
 func BenchmarkKernelTied(b *testing.B) {
-	var fns [64]func()
-	for i := range fns {
-		fns[i] = nopEvent
-	}
 	benchEngines(b, func(b *testing.B, eng sim.Engine) {
 		k := sim.NewKernelWith(eng)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			now := k.Now()
-			k.AtBatch(now+25, fns[:])
-			k.AtBatch(now+25, fns[:])
+			for j := 0; j < 128; j++ {
+				k.At(now+25, nopEvent)
+			}
 			benchSink = k.Run()
 		}
 	})
@@ -133,13 +129,9 @@ func BenchmarkProcHandoff(b *testing.B) {
 
 // TestCalendarSteadyStateAllocs asserts the calendar engine's
 // schedule-and-run loop is allocation-free once its bucket slabs are
-// warm, for the plain, pre-bound, and batch scheduling forms.
+// warm, for the plain and pre-bound scheduling forms.
 func TestCalendarSteadyStateAllocs(t *testing.T) {
 	k := sim.NewKernel()
-	var fns [8]func()
-	for i := range fns {
-		fns[i] = nopEvent
-	}
 	nopCall := func(any) {}
 	work := func() {
 		now := k.Now()
@@ -147,7 +139,6 @@ func TestCalendarSteadyStateAllocs(t *testing.T) {
 			k.At(now+1+j*25, nopEvent)
 			k.AtCall(now+2+j*25, nopCall, nil)
 		}
-		k.AtBatch(now+150, fns[:])
 		k.Run()
 	}
 	// Warm the bucket slabs. Slab capacities keep growing for a while:

@@ -101,34 +101,6 @@ func (c *calendarQueue) push(e event) {
 	heapUp(append(c.overflow, e), &c.overflow)
 }
 
-func (c *calendarQueue) pushBatch(at Time, seq uint64, fns []func()) {
-	if at-c.base < calWindow {
-		idx := c.bucketFor(at)
-		c.n += len(fns)
-		c.inWin += len(fns)
-		if idx == c.curIdx {
-			for _, fn := range fns {
-				heapUp(append(c.buckets[idx], event{at: at, seq: seq, fn: fn}), &c.buckets[idx])
-				seq++
-			}
-			return
-		}
-		b := c.buckets[idx]
-		for _, fn := range fns {
-			b = append(b, event{at: at, seq: seq, fn: fn})
-			seq++
-		}
-		c.buckets[idx] = b
-		c.setOcc(idx)
-		c.rewind(idx)
-		return
-	}
-	for _, fn := range fns {
-		c.push(event{at: at, seq: seq, fn: fn})
-		seq++
-	}
-}
-
 // rewind backs the cursor up when an insertion lands in a bucket the
 // scan position has already passed. That happens when RunUntil stops
 // short of the earliest pending event: peekAt settles the cursor (and

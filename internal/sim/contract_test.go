@@ -1,7 +1,7 @@
 package sim_test
 
-// API-contract tests for the scheduling forms added with the calendar
-// engine (AtCall, AtBatch) and for the terminal Drain contract, on both
+// API-contract tests for the pre-bound scheduling form added with the
+// calendar engine (AtCall) and for the terminal Drain contract, on both
 // engines.
 
 import (
@@ -9,32 +9,6 @@ import (
 
 	"cni/internal/sim"
 )
-
-// TestAtBatchOrdering verifies AtBatch is exactly equivalent to
-// repeated At: slice order within the batch, interleaved correctly with
-// events scheduled before and after at the same timestamp.
-func TestAtBatchOrdering(t *testing.T) {
-	for _, eng := range []sim.Engine{sim.EngineCalendar, sim.EngineHeap} {
-		k := sim.NewKernelWith(eng)
-		var got []int
-		note := func(i int) func() { return func() { got = append(got, i) } }
-		k.At(10, note(0))
-		k.AtBatch(10, []func(){note(1), note(2), note(3)})
-		k.At(10, note(4))
-		k.AtBatch(5, []func(){note(5)})
-		k.AtBatch(10, nil) // empty batch is a no-op
-		k.Run()
-		want := []int{5, 0, 1, 2, 3, 4}
-		if len(got) != len(want) {
-			t.Fatalf("%s: ran %v, want %v", eng, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: ran %v, want %v", eng, got, want)
-			}
-		}
-	}
-}
 
 // TestAtCall verifies the pre-bound form delivers the argument at the
 // right time and orders with At by scheduling sequence.
@@ -83,7 +57,6 @@ func TestDrainTerminal(t *testing.T) {
 
 		mustPanic(t, string(eng)+": At", func() { k.At(k.Now()+1, func() {}) })
 		mustPanic(t, string(eng)+": AtCall", func() { k.AtCall(k.Now()+1, func(any) {}, nil) })
-		mustPanic(t, string(eng)+": AtBatch", func() { k.AtBatch(k.Now()+1, []func(){func() {}}) })
 		mustPanic(t, string(eng)+": After", func() { k.After(1, func() {}) })
 		mustPanic(t, string(eng)+": Run", func() { k.Run() })
 		mustPanic(t, string(eng)+": RunUntil", func() { k.RunUntil(k.Now() + 10) })

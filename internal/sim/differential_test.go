@@ -51,7 +51,8 @@ func (p *diffProgram) delta() sim.Time {
 }
 
 // scheduleOne schedules a single future event via a randomly chosen API
-// form (At, AtCall, AtBatch) and returns how many events it enqueued.
+// form (At, AtCall, or a burst of consecutive At calls at one
+// timestamp) and returns how many events it enqueued.
 func (p *diffProgram) scheduleOne() int {
 	if p.budget <= 0 {
 		return 0
@@ -70,19 +71,17 @@ func (p *diffProgram) scheduleOne() int {
 		p.budget--
 		p.k.AtCall(at, p.onEventAny, id)
 		return 1
-	default: // batch of 1..6 same-timestamp events
+	default: // burst of 1..6 same-timestamp events
 		n := 1 + p.rng.Intn(6)
 		if n > p.budget {
 			n = p.budget
 		}
-		fns := make([]func(), n)
-		for i := range fns {
+		for i := 0; i < n; i++ {
 			id := p.nextID
 			p.nextID++
-			fns[i] = func() { p.onEvent(id) }
+			p.k.At(at, func() { p.onEvent(id) })
 		}
 		p.budget -= n
-		p.k.AtBatch(at, fns)
 		return n
 	}
 }

@@ -66,10 +66,6 @@ func (e *event) before(o *event) bool {
 type scheduler interface {
 	// push inserts one event.
 	push(e event)
-	// pushBatch inserts len(fns) events at the same timestamp with
-	// consecutive sequence numbers starting at seq, equivalent to (but
-	// cheaper than) len(fns) push calls.
-	pushBatch(at Time, seq uint64, fns []func())
 	// pop removes and returns the earliest event, or ok=false when
 	// empty.
 	pop() (e event, ok bool)
@@ -183,20 +179,6 @@ func (k *Kernel) AtCall(t Time, fn func(any), arg any) {
 	k.q.push(event{at: t, seq: k.seq, call: fn, arg: arg})
 }
 
-// AtBatch schedules every fn in fns at absolute virtual time t, in
-// slice order — exactly equivalent to calling At(t, fn) for each, but
-// the engine locates the destination bucket once, so a burst of
-// same-timestamp events (the cells of one PDU, the simultaneous wakes
-// of a barrier) pays the insertion bookkeeping once.
-func (k *Kernel) AtBatch(t Time, fns []func()) {
-	if len(fns) == 0 {
-		return
-	}
-	k.checkAt(t)
-	k.q.pushBatch(t, k.seq+1, fns)
-	k.seq += uint64(len(fns))
-}
-
 // After schedules fn to run d cycles from now.
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
@@ -267,7 +249,7 @@ func (k *Kernel) Pending() int { return k.q.len() }
 //
 // Drain is terminal: the kernel's clock and counters (Now, Executed,
 // Pending) remain readable, and Drain itself is idempotent, but any
-// attempt to schedule or run afterwards — At, AtCall, AtBatch, After,
+// attempt to schedule or run afterwards — At, AtCall, After,
 // Spawn, Run, RunUntil — panics with "kernel reused after Drain".
 // Killed processes left the model in an arbitrary intermediate state,
 // so a "fresh" run on the same kernel could never be trusted; build a

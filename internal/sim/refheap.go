@@ -38,13 +38,6 @@ func (q *heapQueue) push(e event) {
 	heap.Push(&q.h, &boxed)
 }
 
-func (q *heapQueue) pushBatch(at Time, seq uint64, fns []func()) {
-	for _, fn := range fns {
-		q.push(event{at: at, seq: seq, fn: fn})
-		seq++
-	}
-}
-
 func (q *heapQueue) pop() (event, bool) {
 	if len(q.h) == 0 {
 		return event{}, false
