@@ -14,6 +14,29 @@ func TestDefaultValidates(t *testing.T) {
 	}
 }
 
+func TestStandardDisablesCNIFeatures(t *testing.T) {
+	c := Standard()
+	if c.NIC != NICStandard {
+		t.Fatalf("NIC = %v", c.NIC)
+	}
+	if c.TransmitCaching || c.ReceiveCaching || c.ConsistencySnooping {
+		t.Fatal("standard interface must not have Message Cache features")
+	}
+	if ForNIC(NICStandard).NIC != NICStandard || ForNIC(NICCNI).NIC != NICCNI {
+		t.Fatal("ForNIC returned wrong kind")
+	}
+}
+
+func TestOsirisDisablesCNIFeatures(t *testing.T) {
+	c := ForNIC(NICOsiris)
+	if c.NIC != NICOsiris {
+		t.Fatalf("NIC = %v", c.NIC)
+	}
+	if c.TransmitCaching || c.ReceiveCaching || c.ConsistencySnooping || c.NICCollectives {
+		t.Fatal("OSIRIS baseline must not have Message Cache or collective features")
+	}
+}
+
 // TestBoardKnobsFollowHandlersOnBoard: the CNI default has all five
 // board knobs on, and every kind without board handlers has all five
 // off.
