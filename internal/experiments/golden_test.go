@@ -6,13 +6,17 @@ import (
 	"testing"
 )
 
-// goldenIDs are the serving and collective artifacts pinned across
-// commits: the parity gates compare two code paths of one build, so
-// only a committed rendering catches a change that moves both at once.
-var goldenIDs = []string{"FS1", "FS2", "FC1"}
+// goldenIDs are the artifacts pinned across commits: the serving and
+// collective sweeps (FS1, FS2, FC1) and the DSM tables and figures
+// (T2-T4 overhead breakdowns, F10 Cholesky speedup, FD1 ownership
+// organizations). The parity gates compare two code paths of one
+// build, so only a committed rendering catches a change that moves
+// both at once.
+var goldenIDs = []string{"FS1", "FS2", "FC1", "T2", "T3", "T4", "F10", "FD1"}
 
-// TestServingGolden renders the quick-mode FS1, FS2 and FC1 artifacts
-// sequentially and requires byte equality with testdata/<ID>.golden.
+// TestServingGolden renders the quick-mode rendering of every goldenIDs
+// artifact sequentially and requires byte equality with
+// testdata/<ID>.golden.
 func TestServingGolden(t *testing.T) {
 	for _, id := range goldenIDs {
 		spec, ok := Find(id)
