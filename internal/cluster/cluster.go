@@ -84,7 +84,7 @@ func New(cfg *config.Config, n int, setup Setup) (*Cluster, error) {
 	}
 	c.G.Freeze(n)
 	// DSM page transfers read the serving node's live memory at delivery
-	// time (Runtime.copyPageFrom) — a zero-lookahead cross-node access no
+	// time (Runtime.installPage) — a zero-lookahead cross-node access no
 	// conservative window can order. Runs that allocate shared pages
 	// therefore execute on one kernel regardless of SimShards; everything
 	// else (boards, RPC, KV, collectives, DSM locks and barriers) is

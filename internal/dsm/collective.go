@@ -1,8 +1,6 @@
 package dsm
 
 import (
-	"sort"
-
 	"cni/internal/collective"
 	"cni/internal/sim"
 )
@@ -30,44 +28,47 @@ type barPayload struct {
 // the union is simply the run reaching furthest. That also makes the
 // merge idempotent, which the dissemination schedule requires on
 // non-power-of-two clusters (a contribution can arrive via two paths).
-// The result lists writers in ascending order: the merge is
-// order-insensitive, so every node ends the episode with an identical
-// payload.
+// Each bundle holds at most one run per writer, in ascending writer
+// order (newIntervalBundleSince builds them so, and merging keeps it),
+// so the union is a linear merge of the two writer-sorted sequences of
+// runs. The result is order-insensitive, so every node ends the
+// episode with an identical payload.
 func mergeBarPayloads(a, b any) any {
 	pa, pb := a.(*barPayload), b.(*barPayload)
 	out := &barPayload{vc: make([]int32, len(pa.vc))}
 	for i := range out.vc {
-		out.vc[i] = pa.vc[i]
-		if pb.vc[i] > out.vc[i] {
-			out.vc[i] = pb.vc[i]
+		out.vc[i] = max(pa.vc[i], pb.vc[i])
+	}
+	if len(pa.notices)+len(pb.notices) > 0 {
+		out.notices = make([]*Interval, 0, len(pa.notices)+len(pb.notices))
+	}
+	as, bs := pa.notices, pb.notices
+	for len(as) > 0 || len(bs) > 0 {
+		var ra, rb []*Interval
+		switch {
+		case len(bs) == 0 || len(as) > 0 && as[0].Node < bs[0].Node:
+			ra, as = splitRun(as)
+		case len(as) == 0 || bs[0].Node < as[0].Node:
+			rb, bs = splitRun(bs)
+		default:
+			ra, as = splitRun(as)
+			rb, bs = splitRun(bs)
 		}
-	}
-	runs := make(map[int][]*Interval)
-	bucket := func(ivs []*Interval) {
-		for start := 0; start < len(ivs); {
-			end := start + 1
-			for end < len(ivs) && ivs[end].Node == ivs[start].Node {
-				end++
-			}
-			run := ivs[start:end]
-			w := ivs[start].Node
-			if cur := runs[w]; cur == nil || run[len(run)-1].Idx > cur[len(cur)-1].Idx {
-				runs[w] = run
-			}
-			start = end
+		if ra == nil || rb != nil && rb[len(rb)-1].Idx > ra[len(ra)-1].Idx {
+			ra = rb
 		}
-	}
-	bucket(pa.notices)
-	bucket(pb.notices)
-	writers := make([]int, 0, len(runs))
-	for w := range runs {
-		writers = append(writers, w)
-	}
-	sort.Ints(writers)
-	for _, w := range writers {
-		out.notices = append(out.notices, runs[w]...)
+		out.notices = append(out.notices, ra...)
 	}
 	return out
+}
+
+// splitRun splits ivs after its leading run of one writer's intervals.
+func splitRun(ivs []*Interval) (run, rest []*Interval) {
+	end := 1
+	for end < len(ivs) && ivs[end].Node == ivs[0].Node {
+		end++
+	}
+	return ivs[:end], ivs[end:]
 }
 
 func barPayloadBytes(p any) int {

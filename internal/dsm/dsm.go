@@ -41,6 +41,7 @@ package dsm
 
 import (
 	"fmt"
+	"slices"
 
 	"cni/internal/collective"
 	"cni/internal/config"
@@ -125,7 +126,7 @@ type pageReqMsg struct {
 	write bool
 	// need lists the (writer, interval) pairs the home must have
 	// applied before replying, sorted by writer for determinism.
-	need []Interval // Pages unused here
+	need []writeNeed
 	// hops counts probable-owner chain forwards (distributed ownership
 	// only); the requester folds it into its chain histogram.
 	hops int
@@ -298,15 +299,22 @@ type pageHome struct {
 	// for noticed diffs on this page (at the home under either
 	// protocol; at any copy holder under the update protocol).
 	homeStalled bool
-	// copyset lists the nodes holding a copy of this page; under the
-	// update protocol the home forwards every diff to them. Maintained
-	// only at the home.
-	copyset map[int]bool
+	// copyset marks, per node, the holders of a copy of this page;
+	// under the update protocol the home forwards every diff to them.
+	// Maintained only at the home.
+	copyset []bool
 	// exported marks that some other node has fetched this page: from
 	// then on the home flushes it at every release (the "impending
 	// message transfer" discipline); never-exported pages skip the
 	// flush and pay it once on their first fetch.
 	exported bool
+}
+
+// writeNeed is one pending write notice for a page: the page must not
+// be used before writer's interval idx has been applied at its home.
+type writeNeed struct {
+	writer int
+	idx    int32
 }
 
 type waitReq struct {
@@ -329,6 +337,10 @@ type barrierState struct {
 
 // Runtime is one node's DSM engine. All Runtimes of a cluster share
 // the Globals.
+//
+// Per-page state lives in slices indexed by page, sized once from the
+// page count fixed at Globals.Freeze. Lock, barrier and grant state is
+// keyed by sparse ids and stays in maps.
 type Runtime struct {
 	G    *Globals
 	node int
@@ -337,32 +349,39 @@ type Runtime struct {
 	cfg   *config.Config
 	board *nic.Board
 
-	data         []uint64    // this node's copy of the whole shared region
-	state        []pageState // per page access state
-	twin         map[int32][]uint64
-	dirty        map[int32]bool
-	needs        map[int32]map[int]int32 // page -> writer -> required interval
-	pendingLocal map[int32][]diffEntry   // local writes preserved across a refetch
-	vc           []int32
-	log          [][]*Interval // per node, contiguous by interval index
-	homes        map[int32]*pageHome
-	locks        map[int]*lockState
-	bars         map[int]*barrierState
-	grantVC      map[int][]int32 // per lock: manager VC seen at last grant
-	lastBarVC    []int32         // manager VC broadcast at the last barrier release
-	lastWrote    map[int32]int32 // per page: own interval idx of the last release that diffed it
+	data  []uint64    // this node's copy of the whole shared region
+	state []pageState // per page access state
+	// twin holds the pre-write copy of each page written this interval
+	// (nil when none). A twin is reachable only from here: diffs copy
+	// out of it, and every site that drops one returns it to twinFree.
+	twin     [][]uint64
+	twinFree [][]uint64
+	dirty    []bool  // per page: written since the last release
+	dirtied  []int32 // the pages with dirty set, in first-write order
+	// needs lists, per page, the write notices seen but not yet known
+	// applied at the page's home, sorted by writer. It stays a short
+	// sparse list rather than a pages x nodes matrix.
+	needs     [][]writeNeed
+	vc        []int32
+	log       [][]*Interval // per node, contiguous by interval index
+	homes     []*pageHome   // per page, created on demand
+	locks     map[int]*lockState
+	bars      map[int]*barrierState
+	grantVC   map[int][]int32 // per lock: manager VC seen at last grant
+	lastBarVC []int32         // manager VC broadcast at the last barrier release
+	lastWrote []int32         // per page: own interval idx of the last release that diffed it
 
 	// Distributed-ownership state (nil/unused under central ownership).
 	distributed bool
-	owned       map[int32]bool // pages this node currently owns
-	probOwner   map[int32]int  // best guess at the current owner (default: static home)
-	fetchingW   map[int32]bool // pages with an outstanding write fetch
+	owned       []bool // pages this node currently owns
+	probOwner   []int  // best guess at the current owner (initially the static home)
+	fetchingW   []bool // pages with an outstanding write fetch
 	// pendingOwn parks requests and diffs that arrive while this node
 	// has a write fetch outstanding for the page: the requester is the
 	// probable future owner, so racing traffic funnels here instead of
 	// chasing a moving target (the rule that makes Li/Hudak chains
 	// terminate).
-	pendingOwn map[int32][]*nic.Message
+	pendingOwn [][]*nic.Message
 	// pendingIv parks intervals that arrived ahead of a gap in the
 	// log. Only the rotating barrier manager can see such a gap: an
 	// enter bundle is computed against the previous manager's release
@@ -531,10 +550,13 @@ func (g *Globals) TaskDebug() string {
 }
 
 // PendingHomeRequests reports, per runtime, how many version-gated
-// page requests are parked at this node's homes (deadlock forensics).
+// page requests are parked at this node's homes, plus the messages
+// parked awaiting ownership (deadlock forensics). The sample describes
+// the lowest page with anything parked, so a given run always names
+// the same page.
 func (r *Runtime) PendingHomeRequests() (n int, sample string) {
 	for page, hs := range r.homes {
-		if len(hs.waiting) > 0 {
+		if hs != nil && len(hs.waiting) > 0 {
 			n += len(hs.waiting)
 			if sample == "" {
 				req := hs.waiting[0].req
@@ -542,11 +564,12 @@ func (r *Runtime) PendingHomeRequests() (n int, sample string) {
 					page, req.from, req.need, hs.applied)
 			}
 		}
-	}
-	for page, parked := range r.pendingOwn {
-		n += len(parked)
-		if sample == "" {
-			sample = fmt.Sprintf("page %d: %d message(s) parked awaiting ownership", page, len(parked))
+		if r.distributed && len(r.pendingOwn[page]) > 0 {
+			parked := r.pendingOwn[page]
+			n += len(parked)
+			if sample == "" {
+				sample = fmt.Sprintf("page %d: %d message(s) parked awaiting ownership", page, len(parked))
+			}
 		}
 	}
 	return n, sample
@@ -555,42 +578,44 @@ func (r *Runtime) PendingHomeRequests() (n int, sample string) {
 // NewRuntime builds the DSM engine for one node and registers its
 // protocol handlers on the board. Call after Globals.Freeze.
 func NewRuntime(g *Globals, k *sim.Kernel, node, nnodes int, board *nic.Board) *Runtime {
+	pages := g.Pages() + 1
 	r := &Runtime{
-		G:            g,
-		node:         node,
-		k:            k,
-		cfg:          g.cfg,
-		board:        board,
-		data:         make([]uint64, g.words+g.pageWords),
-		state:        make([]pageState, g.Pages()+1),
-		twin:         make(map[int32][]uint64),
-		dirty:        make(map[int32]bool),
-		needs:        make(map[int32]map[int]int32),
-		pendingLocal: make(map[int32][]diffEntry),
-		vc:           make([]int32, nnodes),
-		log:          make([][]*Interval, nnodes),
-		homes:        make(map[int32]*pageHome),
-		locks:        make(map[int]*lockState),
-		bars:         make(map[int]*barrierState),
-		grantVC:      make(map[int][]int32),
-		lastBarVC:    make([]int32, nnodes),
-		lastWrote:    make(map[int32]int32),
+		G:         g,
+		node:      node,
+		k:         k,
+		cfg:       g.cfg,
+		board:     board,
+		data:      make([]uint64, g.words+g.pageWords),
+		state:     make([]pageState, pages),
+		twin:      make([][]uint64, pages),
+		dirty:     make([]bool, pages),
+		needs:     make([][]writeNeed, pages),
+		vc:        make([]int32, nnodes),
+		log:       make([][]*Interval, nnodes),
+		homes:     make([]*pageHome, pages),
+		locks:     make(map[int]*lockState),
+		bars:      make(map[int]*barrierState),
+		grantVC:   make(map[int][]int32),
+		lastBarVC: make([]int32, nnodes),
+		lastWrote: make([]int32, pages),
 	}
 	if g.cfg.DSMOwnershipOrDefault() == config.DSMDistributed {
 		r.distributed = true
-		r.owned = make(map[int32]bool)
-		r.probOwner = make(map[int32]int)
-		r.fetchingW = make(map[int32]bool)
-		r.pendingOwn = make(map[int32][]*nic.Message)
+		r.owned = make([]bool, pages)
+		r.probOwner = make([]int, pages)
+		r.fetchingW = make([]bool, pages)
+		r.pendingOwn = make([][]*nic.Message, pages)
 	}
 	for p := range r.state {
-		if g.homeOf(int32(p)) == node {
+		home := g.homeOf(int32(p))
+		if home == node {
 			r.state[p] = pageValid
-			if r.distributed {
-				// Initial owners are the static homes; probable-owner
-				// pointers elsewhere default to the static home too.
-				r.owned[int32(p)] = true
-			}
+		}
+		if r.distributed {
+			// Initial owners are the static homes, and every
+			// probable-owner pointer starts there.
+			r.owned[p] = home == node
+			r.probOwner[p] = home
 		}
 	}
 	g.nodes = append(g.nodes, r)
@@ -657,36 +682,47 @@ func (r *Runtime) owner(page int32) bool {
 }
 
 // probOwnerOf is this node's best guess at the page's current owner
-// (distributed ownership). Unvisited pages default to the static home.
+// (distributed ownership). Unvisited pages point at the static home.
 func (r *Runtime) probOwnerOf(page int32) int {
-	if o, ok := r.probOwner[page]; ok {
-		if o == r.node && !r.owned[page] {
-			panic(fmt.Sprintf("dsm: node %d probable-owner pointer for page %d is itself but it is not the owner",
-				r.node, page))
-		}
-		return o
+	o := r.probOwner[page]
+	if o == r.node && !r.owned[page] {
+		panic(fmt.Sprintf("dsm: node %d probable-owner pointer for page %d is itself but it is not the owner",
+			r.node, page))
 	}
-	return r.G.homeOf(page)
+	return o
 }
 
 // peer returns the runtime of another node (the simulator's stand-in
 // for "the bytes that would be on the wire").
 func (r *Runtime) peer(n int) *Runtime { return r.G.nodes[n] }
 
-// copyPageFrom copies the serving node's current words for page into
+// installPage copies the serving node's current words for page into
 // this node's region (the serving node is the static home under
 // central ownership, the current owner under distributed). Run-ahead
 // caveat documented in DESIGN.md: contents may be fresher than the
 // request timestamp, which release consistency tolerates for
-// data-race-free programs.
-func (r *Runtime) copyPageFrom(page int32, from int) {
-	h := r.peer(from)
+// data-race-free programs. A twin means this node holds uncommitted
+// writes to the page (concurrent write sharing): the words it changed
+// since twinning survive over the fetched base, and the twin becomes
+// that base, so the next diff still carries the local writes forward.
+// The region is untouched between the fault and the reply (the page is
+// invalid, so neither diffs nor update pushes land on it), so the words
+// that differ from the twin are exactly the local writes.
+func (r *Runtime) installPage(page int32, from int) {
+	src := r.peer(from).data
 	lo := int(page) * r.G.pageWords
-	hi := lo + r.G.pageWords
-	if hi > len(r.data) {
-		hi = len(r.data)
+	hi := min(lo+r.G.pageWords, len(r.data))
+	tw := r.twin[page]
+	if tw == nil {
+		copy(r.data[lo:hi], src[lo:hi])
+		return
 	}
-	copy(r.data[lo:hi], h.data[lo:hi])
+	for i := lo; i < hi; i++ {
+		if r.data[i] == tw[i-lo] {
+			r.data[i] = src[i]
+		}
+		tw[i-lo] = src[i]
+	}
 }
 
 // newIntervalBundleSince returns this node's known intervals newer than
@@ -695,14 +731,17 @@ func (r *Runtime) copyPageFrom(page int32, from int) {
 // per node — O(len(output)), which matters: bundles are computed on
 // every grant, release and barrier.
 func (r *Runtime) newIntervalBundleSince(vc []int32) []*Interval {
-	var out []*Interval
-	for n := range r.log {
-		start := 0
-		if n < len(vc) {
-			start = int(vc[n])
-		}
-		if start < len(r.log[n]) {
-			out = append(out, r.log[n][start:]...)
+	total := 0
+	for n, ivs := range r.log {
+		total += max(len(ivs)-int(vc[n]), 0)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]*Interval, 0, total)
+	for n, ivs := range r.log {
+		if start := int(vc[n]); start < len(ivs) {
+			out = append(out, ivs[start:]...)
 		}
 	}
 	return out
@@ -720,9 +759,14 @@ func (r *Runtime) newIntervalBundleSince(vc []int32) []*Interval {
 // release — which closes the gap — precedes its own barrier enter.
 func (r *Runtime) absorbIntervals(ivs []*Interval) []*Interval {
 	var fresh []*Interval
-	for _, iv := range ivs {
+	for i, iv := range ivs {
 		if iv.Idx <= r.vc[iv.Node] {
 			continue
+		}
+		if fresh == nil {
+			// Every interval from here on may be fresh; only a parked
+			// run spliced by the distributed path can outgrow this.
+			fresh = make([]*Interval, 0, len(ivs)-i)
 		}
 		if want := int32(len(r.log[iv.Node])) + 1; iv.Idx != want {
 			if !r.distributed {
@@ -797,14 +841,7 @@ func (r *Runtime) applyWriteNotices(ivs []*Interval) int {
 			continue
 		}
 		for _, p := range iv.Pages {
-			need := r.needs[p]
-			if need == nil {
-				need = make(map[int]int32)
-				r.needs[p] = need
-			}
-			if iv.Idx > need[iv.Node] {
-				need[iv.Node] = iv.Idx
-			}
+			r.noteNeed(p, iv.Node, iv.Idx)
 			if p == DebugPage {
 				fmt.Printf("DSMDBG t=%d node=%d notice page=%d writer=%d idx=%d state=%d\n",
 					r.k.Now(), r.node, p, iv.Node, iv.Idx, r.state[p])
@@ -813,7 +850,7 @@ func (r *Runtime) applyWriteNotices(ivs []*Interval) int {
 				// The copy stays mapped: the home always, and any copy
 				// holder under the update protocol (the diff is on its
 				// way). Accesses stall until the diffs land.
-				if hs := r.homeState(p); !hs.satisfiedNeeds(need) {
+				if hs := r.homeState(p); !hs.satisfiedNeeds(r.needs[p]) {
 					r.state[p] = pageHomeStale
 				}
 				continue
@@ -828,11 +865,30 @@ func (r *Runtime) applyWriteNotices(ivs []*Interval) int {
 	return invalidated
 }
 
+// noteNeed records that page must not be used before writer's interval
+// idx is applied at its home, keeping the page's list sorted by writer.
+func (r *Runtime) noteNeed(page int32, writer int, idx int32) {
+	need := r.needs[page]
+	i := 0
+	for i < len(need) && need[i].writer < writer {
+		i++
+	}
+	if i < len(need) && need[i].writer == writer {
+		need[i].idx = max(need[i].idx, idx)
+		return
+	}
+	r.needs[page] = slices.Insert(need, i, writeNeed{writer: writer, idx: idx})
+}
+
+// clearNeeds drops every pending notice for page, keeping the list's
+// storage for the page's next notices.
+func (r *Runtime) clearNeeds(page int32) { r.needs[page] = r.needs[page][:0] }
+
 // satisfiedNeeds reports whether every (writer, interval) requirement
 // has been applied at this home.
-func (hs *pageHome) satisfiedNeeds(need map[int]int32) bool {
-	for w, idx := range need {
-		if hs.applied[w] < idx {
+func (hs *pageHome) satisfiedNeeds(need []writeNeed) bool {
+	for _, nd := range need {
+		if hs.applied[nd.writer] < nd.idx {
 			return false
 		}
 	}
@@ -852,10 +908,5 @@ func (r *Runtime) homeState(page int32) *pageHome {
 // satisfied reports whether the home has applied every diff the
 // request requires.
 func (hs *pageHome) satisfied(req *pageReqMsg) bool {
-	for _, need := range req.need {
-		if hs.applied[need.Node] < need.Idx {
-			return false
-		}
-	}
-	return true
+	return hs.satisfiedNeeds(req.need)
 }

@@ -2,7 +2,7 @@ package dsm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cni/internal/nic"
 	"cni/internal/sim"
@@ -127,7 +127,7 @@ func (r *Runtime) drainPendingOwn(at sim.Time, page int32) {
 	if parked == nil {
 		return
 	}
-	delete(r.pendingOwn, page)
+	r.pendingOwn[page] = nil
 	for _, pm := range parked {
 		if r.owner(page) {
 			r.dispatchLocal(at, pm)
@@ -175,10 +175,10 @@ func (r *Runtime) forwardUpdate(at sim.Time, d *diffMsg) {
 	hs := r.homeState(d.page)
 	if d.page == DebugPage {
 		fmt.Printf("DSMDBG t=%d node=%d forward page=%d writer=%d idx=%d copyset=%v\n",
-			at, r.node, d.page, d.writer, d.idx, sortedMembers(hs.copyset))
+			at, r.node, d.page, d.writer, d.idx, hs.copyset)
 	}
-	for _, member := range sortedMembers(hs.copyset) {
-		if member == d.writer || member == r.node {
+	for member, holds := range hs.copyset {
+		if !holds || member == d.writer || member == r.node {
 			continue
 		}
 		diffBytes := 12 * len(d.entries)
@@ -195,16 +195,6 @@ func (r *Runtime) forwardUpdate(at sim.Time, d *diffMsg) {
 			Payload:      &updateMsg{diff: d, seenOfMember: hs.applied[member]},
 		})
 	}
-}
-
-// sortedMembers renders a copyset deterministically.
-func sortedMembers(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // onUpdate applies a forwarded diff at a copy holder (update protocol)
@@ -229,14 +219,7 @@ func (r *Runtime) onUpdate(at sim.Time, m *nic.Message) {
 	if u.seenOfMember < r.lastWrote[d.page] || r.dirty[d.page] {
 		r.state[d.page] = pageInvalid
 		r.Stats.Invalidates++
-		need := r.needs[d.page]
-		if need == nil {
-			need = make(map[int]int32)
-			r.needs[d.page] = need
-		}
-		if d.idx > need[d.writer] {
-			need[d.writer] = d.idx
-		}
+		r.noteNeed(d.page, d.writer, d.idx)
 		hs := r.homeState(d.page)
 		if hs.homeStalled {
 			// The worker was waiting for this push; wake it so its
@@ -246,15 +229,10 @@ func (r *Runtime) onUpdate(at sim.Time, m *nic.Message) {
 		}
 		return
 	}
-	lo := int(d.page) * r.G.pageWords
-	tw := r.twin[d.page]
+	// A twin exists only on a dirty page, which took the branch above,
+	// so there is no twin to keep in step with the pushed words.
 	for _, e := range d.entries {
 		r.data[e.word] = e.val
-		if tw != nil {
-			// Keep the twin in step so this node's own next diff does
-			// not re-ship the forwarded words as its own.
-			tw[int(e.word)-lo] = e.val
-		}
 	}
 	hs := r.homeState(d.page)
 	if d.idx > hs.applied[d.writer] {
@@ -284,7 +262,7 @@ func (r *Runtime) drainWaiting(at sim.Time, page int32) {
 	if hs.homeStalled && hs.satisfiedNeeds(r.needs[page]) {
 		hs.homeStalled = false
 		r.state[page] = pageValid
-		delete(r.needs, page)
+		r.clearNeeds(page)
 		r.wakeWorker(at, waitPage)
 	}
 }
@@ -350,7 +328,7 @@ func (r *Runtime) sendPageReply(at sim.Time, req *pageReqMsg) {
 	}
 	if r.cfg.UpdateProtocol {
 		if hs.copyset == nil {
-			hs.copyset = make(map[int]bool)
+			hs.copyset = make([]bool, len(r.vc))
 		}
 		hs.copyset[req.from] = true
 	}
@@ -360,7 +338,7 @@ func (r *Runtime) sendPageReply(at sim.Time, req *pageReqMsg) {
 		// node keeps its (still current) copy as an ordinary holder
 		// and points its chain at the new owner. The manager state
 		// travels as the applied snapshot on the reply.
-		delete(r.owned, req.page)
+		r.owned[req.page] = false
 		r.probOwner[req.page] = req.from
 		r.G.noteOwner(req.page, req.from)
 		if req.page == DebugPage {
@@ -394,36 +372,14 @@ func (r *Runtime) onPageReply(at sim.Time, m *nic.Message) {
 	rep := m.Payload.(*pageReplyMsg)
 	page := rep.page
 	if page == DebugPage {
-		fmt.Printf("DSMDBG t=%d node=%d pagereply page=%d from=%d own=%v pendingLocal=%v\n",
-			at, r.node, page, rep.from, rep.own, len(r.pendingLocal[page]))
+		fmt.Printf("DSMDBG t=%d node=%d pagereply page=%d from=%d own=%v twin=%v\n",
+			at, r.node, page, rep.from, rep.own, r.twin[page] != nil)
 	}
-	r.copyPageFrom(page, rep.from)
-	// Preserve this node's own uncommitted writes over the fetched base.
-	if local, ok := r.pendingLocal[page]; ok {
-		// New twin is the fetched base, so the next diff still carries
-		// the local writes forward.
-		if tw, twok := r.twin[page]; twok {
-			lo := int(page) * r.G.pageWords
-			copy(tw, r.data[lo:lo+len(tw)])
-		}
-		for _, e := range local {
-			r.data[e.word] = e.val
-		}
-		delete(r.pendingLocal, page)
-	}
+	r.installPage(page, rep.from)
 	// Clear only the requirements this reply was gated on. Notices that
 	// raced the fetch stay pending, the page stays invalid, and the
 	// worker's access loop refaults with the updated requirements.
-	if remaining := r.needs[page]; remaining != nil {
-		for _, nd := range rep.req.need {
-			if remaining[nd.Node] <= nd.Idx {
-				delete(remaining, nd.Node)
-			}
-		}
-		if len(remaining) == 0 {
-			delete(r.needs, page)
-		}
-	}
+	r.needs[page] = dropCoveredNeeds(r.needs[page], rep.req.need)
 	if r.cfg.UpdateProtocol {
 		// Seed this member's applied tracking with the home's state at
 		// reply time: diffs already folded into the fetched copy will
@@ -437,7 +393,7 @@ func (r *Runtime) onPageReply(at sim.Time, m *nic.Message) {
 	}
 	if r.distributed {
 		r.Stats.Chain.observe(rep.req.hops)
-		delete(r.fetchingW, page)
+		r.fetchingW[page] = false
 		r.probOwner[page] = rep.from
 		if rep.own {
 			// This node is the page's owner and manager now: merge the
@@ -465,7 +421,7 @@ func (r *Runtime) onPageReply(at sim.Time, m *nic.Message) {
 		hs := r.homeState(page)
 		if hs.satisfiedNeeds(r.needs[page]) {
 			r.state[page] = pageValid
-			delete(r.needs, page)
+			r.clearNeeds(page)
 		} else {
 			r.state[page] = pageHomeStale
 		}
@@ -672,17 +628,28 @@ func (r *Runtime) wakeWorker(at sim.Time, why waitKind) {
 	w.proc.WakeAt(at)
 }
 
-// sortedNeeds renders a page's pending write notices as a deterministic
-// requirement list for a version-gated fetch.
-func (r *Runtime) sortedNeeds(page int32) []Interval {
-	need := r.needs[page]
-	if len(need) == 0 {
+// sortedNeeds copies a page's pending write notices, already sorted by
+// writer, into the requirement list of a version-gated fetch.
+func (r *Runtime) sortedNeeds(page int32) []writeNeed {
+	if len(r.needs[page]) == 0 {
 		return nil
 	}
-	out := make([]Interval, 0, len(need))
-	for n, idx := range need {
-		out = append(out, Interval{Node: n, Idx: idx})
+	return slices.Clone(r.needs[page])
+}
+
+// dropCoveredNeeds removes from need, in place, every notice that a
+// fetch gated on covered has observed: same writer, no newer interval.
+// Both lists are sorted by writer.
+func dropCoveredNeeds(need, covered []writeNeed) []writeNeed {
+	kept, j := need[:0], 0
+	for _, nd := range need {
+		for j < len(covered) && covered[j].writer < nd.writer {
+			j++
+		}
+		if j < len(covered) && covered[j].writer == nd.writer && nd.idx <= covered[j].idx {
+			continue
+		}
+		kept = append(kept, nd)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
+	return kept
 }

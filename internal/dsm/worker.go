@@ -3,7 +3,7 @@ package dsm
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cni/internal/memsys"
 	"cni/internal/nic"
@@ -153,6 +153,7 @@ func (w *Worker) WriteU64(idx int, v uint64) {
 func (w *Worker) beginWrite(page int32) {
 	r := w.r
 	r.dirty[page] = true
+	r.dirtied = append(r.dirtied, page)
 	if r.owner(page) && !r.cfg.UpdateProtocol {
 		// Home writes need no twin under the invalidate protocol: the
 		// home copy is authoritative and nothing is diffed. The update
@@ -161,11 +162,30 @@ func (w *Worker) beginWrite(page int32) {
 		return
 	}
 	lo := int(page) * r.G.pageWords
-	tw := make([]uint64, r.G.pageWords)
+	tw := r.newTwin()
 	copy(tw, r.data[lo:lo+r.G.pageWords])
 	r.twin[page] = tw
 	// Twinning is a page copy on the host CPU.
 	w.charge(sim.Time(r.G.pageWords) * r.cfg.DiffWordCycles)
+}
+
+// newTwin takes a page-sized buffer from the free list, or allocates
+// one; the caller overwrites every word.
+func (r *Runtime) newTwin() []uint64 {
+	if n := len(r.twinFree); n > 0 {
+		tw := r.twinFree[n-1]
+		r.twinFree = r.twinFree[:n-1]
+		return tw
+	}
+	return make([]uint64, r.G.pageWords)
+}
+
+// dropTwin returns page's twin, if any, to the free list.
+func (r *Runtime) dropTwin(page int32) {
+	if tw := r.twin[page]; tw != nil {
+		r.twinFree = append(r.twinFree, tw)
+		r.twin[page] = nil
+	}
 }
 
 // slowPath handles an access to a page that is not plainly valid:
@@ -189,7 +209,7 @@ func (w *Worker) stallHome(page int32) {
 	need := r.needs[page]
 	if hs.satisfiedNeeds(need) {
 		r.state[page] = pageValid
-		delete(r.needs, page)
+		r.clearNeeds(page)
 		return
 	}
 	if page == DebugPage {
@@ -214,10 +234,10 @@ func (w *Worker) fault(page int32, write bool) {
 	if r.owner(page) {
 		panic(fmt.Sprintf("dsm: node %d faulted on its own page %d", r.node, page))
 	}
-	// Preserve uncommitted local writes (concurrent write sharing): the
-	// incoming base page must not clobber them.
-	if tw, ok := r.twin[page]; ok {
-		r.pendingLocal[page] = diffWords(r.data, tw, int(page)*r.G.pageWords)
+	// Uncommitted local writes (concurrent write sharing) make this a
+	// write fetch; the reply merges them over the incoming base page
+	// (installPage).
+	if r.twin[page] != nil {
 		write = true
 	}
 	need := r.sortedNeeds(page)
@@ -246,13 +266,24 @@ func (w *Worker) fault(page int32, write bool) {
 	w.block(waitPage)
 }
 
-// diffWords returns the entries where cur differs from twin; base is
-// the word index of the page start.
+// diffWords returns the entries where cur differs from twin, allocated
+// at exact size (nil when nothing changed); base is the word index of
+// the page start.
 func diffWords(cur []uint64, twin []uint64, base int) []diffEntry {
-	var out []diffEntry
+	cur = cur[base : base+len(twin)]
+	n := 0
 	for i, tv := range twin {
-		if cur[base+i] != tv {
-			out = append(out, diffEntry{word: int32(base + i), val: cur[base+i]})
+		if cur[i] != tv {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]diffEntry, 0, n)
+	for i, tv := range twin {
+		if cur[i] != tv {
+			out = append(out, diffEntry{word: int32(base + i), val: cur[i]})
 		}
 	}
 	return out
@@ -264,14 +295,12 @@ func diffWords(cur []uint64, twin []uint64, base int) []diffEntry {
 // of non-home pages to their homes.
 func (w *Worker) release() {
 	r := w.r
-	if len(r.dirty) == 0 {
+	if len(r.dirtied) == 0 {
 		return
 	}
-	pages := make([]int32, 0, len(r.dirty))
-	for p := range r.dirty {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	slices.Sort(r.dirtied)
+	pages := slices.Clone(r.dirtied)
+	r.dirtied = r.dirtied[:0]
 
 	r.vc[r.node]++
 	idx := r.vc[r.node]
@@ -303,7 +332,7 @@ func (w *Worker) release() {
 					r.forwardUpdate(w.proc.Local(), &diffMsg{
 						page: page, writer: r.node, idx: idx, entries: entries,
 					})
-					delete(r.twin, page)
+					r.dropTwin(page)
 				}
 			}
 			r.drainWaiting(w.proc.Local(), page)
@@ -311,9 +340,9 @@ func (w *Worker) release() {
 				// Ownership may have arrived mid-interval, leaving the
 				// twin of the pre-ownership writes behind; the owner
 				// copy is authoritative, so the twin is dead.
-				delete(r.twin, page)
+				r.dropTwin(page)
 			}
-			delete(r.dirty, page)
+			r.dirty[page] = false
 			continue
 		}
 		w.charge(r.board.FlushBuffer(vaddr, r.cfg.PageBytes))
@@ -325,13 +354,8 @@ func (w *Worker) release() {
 		// Diff creation scans the page and encodes the changed words.
 		w.charge(sim.Time(r.G.pageWords) + sim.Time(len(entries))*r.cfg.DiffWordCycles)
 		// Remember that any refetch must see our own diff applied at
-		// the home...
-		need := r.needs[page]
-		if need == nil {
-			need = make(map[int]int32)
-			r.needs[page] = need
-		}
-		need[r.node] = idx
+		// the home (idx is newer than any own interval noted before)...
+		r.noteNeed(page, r.node, idx)
 		// ...while this copy trivially contains its own writes, so the
 		// local applied tracking (used by the update protocol's stall
 		// gate) advances immediately, and the write-ordering guard
@@ -364,8 +388,8 @@ func (w *Worker) release() {
 		w.charge(r.board.Send(w.proc, m))
 		r.Stats.DiffsSent++
 		r.Stats.DiffWords += uint64(len(entries))
-		delete(r.twin, page)
-		delete(r.dirty, page)
+		r.dropTwin(page)
+		r.dirty[page] = false
 	}
 }
 
