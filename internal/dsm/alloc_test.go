@@ -11,7 +11,8 @@ import (
 // twinRoundsAlloc runs a 2-node cluster in which node 1 does k rounds
 // of lock, write one word of a page homed at node 0, unlock, and
 // returns the bytes the whole run allocated.
-func twinRoundsAlloc(k int) uint64 {
+func twinRoundsAlloc(t *testing.T, k int) uint64 {
+	t.Helper()
 	cfg := config.ForNIC(config.NICCNI)
 	pageWords := cfg.PageBytes / cfg.WordBytes
 	c := mustCluster(&cfg, 2, func(g *dsm.Globals) { g.Alloc(2 * pageWords) })
@@ -29,7 +30,7 @@ func twinRoundsAlloc(k int) uint64 {
 	})
 	runtime.ReadMemStats(&after)
 	if got := c.ReadU64(0); got != uint64(k) {
-		panic("lost the last write")
+		t.Fatalf("after %d rounds the home holds %d", k, got)
 	}
 	return after.TotalAlloc - before.TotalAlloc
 }
@@ -39,8 +40,8 @@ func twinRoundsAlloc(k int) uint64 {
 // of write-then-release must cost less than a fresh twin would.
 func TestTwinsAreRecycled(t *testing.T) {
 	cfg := config.ForNIC(config.NICCNI)
-	twinRoundsAlloc(10) // warm up one-time runtime allocations
-	perRound := (float64(twinRoundsAlloc(100)) - float64(twinRoundsAlloc(50))) / 50
+	twinRoundsAlloc(t, 10) // warm up one-time runtime allocations
+	perRound := (float64(twinRoundsAlloc(t, 100)) - float64(twinRoundsAlloc(t, 50))) / 50
 	t.Logf("marginal heap bytes per round: %.0f", perRound)
 	if perRound >= float64(cfg.PageBytes) {
 		t.Fatalf("each write-then-release round allocates %.0f bytes, want < %d (a twin is %d)",
