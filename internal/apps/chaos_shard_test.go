@@ -83,7 +83,6 @@ func chaosShardRun(t *testing.T, topo string, shards int) ([][]sim.Time, atm.Sta
 	} else {
 		net.NodeKernel(0).Run()
 	}
-	net.Finish()
 	var rel nic.RelStats
 	for i := 0; i < n; i++ {
 		rel.Merge(boards[i].Stats.Rel)

@@ -20,11 +20,19 @@
 // Table 5's "mythical networking technology ... with unlimited cell
 // size" is config.UnrestrictedCell: one cell carries the whole message
 // and the per-cell costs collapse.
+//
+// The fabric has one serialization rule. Send records every
+// non-loopback packet in its shard's ledger (one shard on New), and
+// drainLedger walks the recorded sends in (send time, source node,
+// per-node call order) order: on the single kernel when each
+// timestamp closes, on a ShardSet at each window barrier. Port
+// contention, and so every timing, is the same on every kernel layout.
 package atm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cni/internal/config"
 	"cni/internal/sim"
@@ -75,7 +83,6 @@ type Stats struct {
 
 // Network is the routed fabric plus the per-node access links.
 type Network struct {
-	k    *sim.Kernel
 	cfg  *config.Config
 	topo topo.Topology
 
@@ -89,21 +96,20 @@ type Network struct {
 	// allocation-free hot loop.
 	deliverFn func(any)
 
-	// Sharded-mode state (see NewSharded); all nil/unused on the plain
-	// single-kernel path.
-	ss       *sim.ShardSet
-	shardOf  []int       // node id -> shard id
-	perShard []*netShard // ledgers and send-phase counters, one per shard
-	drainBuf []walkItem  // barrier scratch, reused across windows
+	ss       *sim.ShardSet // nil on the single kernel (New)
+	kernels  []*sim.Kernel // shard id -> kernel; one shard on New
+	shardOf  []int         // node id -> shard id
+	perShard []*netShard   // ledgers and send-phase counters, one per shard
+	drainBuf []walkItem    // drain scratch, reused across drains
 
 	Stats Stats
 }
 
-// walkItem is one deferred fabric walk: a Send recorded during a
-// window, applied at the next barrier. The canonical order —
-// (send-call kernel time, source node, per-node call order) — is a
-// pure function of simulated behavior, so the resource-reservation
-// sequence, and with it every timing and fault verdict, is identical
+// walkItem is one deferred fabric walk: a Send recorded in a ledger,
+// applied at the next drain. The canonical order — (send-call kernel
+// time, source node, per-node call order) — is a pure function of
+// simulated behavior, so the resource-reservation sequence, and with it
+// every timing and fault verdict, is identical on the single kernel and
 // at every shard count.
 type walkItem struct {
 	now sim.Time // kernel time of the Send call: first canonical key
@@ -113,7 +119,7 @@ type walkItem struct {
 
 // netShard is the slice of fabric state one shard may touch during a
 // window without synchronization: its own ledger and its nodes'
-// send-phase counters (pure sums, folded into Stats by Finish).
+// send-phase counters (pure sums, folded into Stats by each drain).
 type netShard struct {
 	ledger    []walkItem
 	messages  uint64
@@ -125,7 +131,8 @@ type netShard struct {
 // New builds the fabric selected by cfg.Topology for n nodes. The node
 // count is user input, so an unaddressable n (more nodes than the
 // topology's geometry, or than the 16-bit VCI lanes, can carry) is an
-// error, not a panic.
+// error, not a panic. The fabric takes k's timestamp-end hook for its
+// ledger drain, so one kernel carries at most one Network.
 func New(k *sim.Kernel, cfg *config.Config, n int) (*Network, error) {
 	if err := config.ValidateNodes(n); err != nil {
 		// More nodes than the 16-bit VCI lanes can address would
@@ -136,10 +143,8 @@ func New(k *sim.Kernel, cfg *config.Config, n int) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("atm: %w", err)
 	}
-	nw := &Network{k: k, cfg: cfg, topo: tp}
-	nw.deliverFn = nw.deliver
-	nw.rx = make([]func(*Packet, sim.Time), n)
-	nw.inj = newInjector(cfg, tp.Edges())
+	nw := newNetwork(cfg, tp, make([]int, n), []*sim.Kernel{k})
+	k.OnTimestampEnd(nw.drainLedger)
 	return nw, nil
 }
 
@@ -150,7 +155,7 @@ func New(k *sim.Kernel, cfg *config.Config, n int) (*Network, error) {
 // windows of width Lookahead. During a window every fabric walk is
 // deferred into the sending shard's ledger; the barrier drains all
 // ledgers single-threaded in canonical (send time, source node) order,
-// so port reservations and fault draws replay the sequential fabric
+// so port reservations and fault draws replay the single-kernel fabric
 // exactly and deliveries land on the destination's shard kernel.
 //
 // Node components (boards, procs) must schedule exclusively on their
@@ -172,17 +177,29 @@ func NewSharded(cfg *config.Config, n, shards int, engine sim.Engine) (*Network,
 		}
 	}
 	ss := sim.NewShardSet(eff, engine)
-	nw := &Network{k: ss.Kernel(0), cfg: cfg, topo: tp, ss: ss, shardOf: part}
-	nw.deliverFn = nw.shardDeliver
-	nw.rx = make([]func(*Packet, sim.Time), n)
-	nw.inj = newInjector(cfg, tp.Edges())
-	nw.perShard = make([]*netShard, eff)
-	for i := range nw.perShard {
-		nw.perShard[i] = &netShard{}
+	kernels := make([]*sim.Kernel, eff)
+	for i := range kernels {
+		kernels[i] = ss.Kernel(i)
 	}
+	nw := newNetwork(cfg, tp, part, kernels)
+	nw.ss = ss
 	ss.SetLookahead(nw.Lookahead())
 	ss.OnBarrier(nw.drainLedger)
 	return nw, ss, nil
+}
+
+// newNetwork builds the fabric state shared by New and NewSharded:
+// node i lives on kernels[shardOf[i]], and every shard gets a ledger.
+func newNetwork(cfg *config.Config, tp topo.Topology, shardOf []int, kernels []*sim.Kernel) *Network {
+	nw := &Network{cfg: cfg, topo: tp, kernels: kernels, shardOf: shardOf}
+	nw.deliverFn = nw.deliver
+	nw.rx = make([]func(*Packet, sim.Time), len(shardOf))
+	nw.inj = newInjector(cfg, tp.Edges())
+	nw.perShard = make([]*netShard, len(kernels))
+	for i := range nw.perShard {
+		nw.perShard[i] = &netShard{}
+	}
+	return nw
 }
 
 // Lookahead is the fabric's conservative window width: no Send made at
@@ -191,40 +208,17 @@ func NewSharded(cfg *config.Config, n, shards int, engine sim.Engine) (*Network,
 // switch latency, both propagation legs, and at least the final-hop
 // serialization. Fault verdicts only add delay (and duplicate
 // deliveries land one serialization later still), so the bound holds
-// on lossy fabrics too; shardSchedule panics if it is ever violated.
+// on lossy fabrics too; drainLedger panics if a sharded run ever
+// violates it.
 func (nw *Network) Lookahead() sim.Time {
 	return nw.headCellCycles() +
 		2*nw.cfg.NSToCycles(nw.cfg.WirePropNS) +
 		nw.cfg.NSToCycles(nw.cfg.SwitchLatencyNS)
 }
 
-// Sharded reports whether the fabric runs on a ShardSet.
-func (nw *Network) Sharded() bool { return nw.ss != nil }
-
-// Shards reports the effective shard count (1 on the plain path).
-func (nw *Network) Shards() int {
-	if nw.ss == nil {
-		return 1
-	}
-	return len(nw.perShard)
-}
-
-// ShardOf reports node i's shard (0 on the plain path).
-func (nw *Network) ShardOf(i int) int {
-	if nw.ss == nil {
-		return 0
-	}
-	return nw.shardOf[i]
-}
-
 // NodeKernel returns the kernel node i's components must schedule on:
 // the shard kernel in sharded mode, the single kernel otherwise.
-func (nw *Network) NodeKernel(i int) *sim.Kernel {
-	if nw.ss == nil {
-		return nw.k
-	}
-	return nw.ss.Kernel(nw.shardOf[i])
-}
+func (nw *Network) NodeKernel(i int) *sim.Kernel { return nw.kernels[nw.shardOf[i]] }
 
 // Faulty reports whether the fabric injects faults.
 func (nw *Network) Faulty() bool { return nw.inj != nil }
@@ -250,43 +244,31 @@ func (nw *Network) headCellCycles() sim.Time {
 }
 
 // Send injects pkt into the fabric at time at (the moment the source
-// NIC starts clocking the first cell out) and returns the delivery
-// time at which the destination's handler will run. Sending to self is
-// legal and bypasses the fabric.
+// NIC starts clocking the first cell out); the destination's handler
+// runs at the arrival time of the packet's last cell. Sending to self
+// is legal and bypasses the fabric.
 //
-// In sharded mode the walk is deferred to the next window barrier, so
-// the delivery time is not yet known and Send returns 0; callers must
-// not act on the return value (none in this repository do).
-func (nw *Network) Send(at sim.Time, pkt *Packet) sim.Time {
+// Send charges the sending shard's counters, delivers loopbacks on the
+// node's own kernel, and defers everything that touches shared fabric
+// state into the shard's ledger, which drainLedger walks.
+func (nw *Network) Send(at sim.Time, pkt *Packet) {
 	if pkt.Dst < 0 || pkt.Dst >= len(nw.rx) || pkt.Src < 0 || pkt.Src >= len(nw.rx) {
 		panic(fmt.Sprintf("atm: packet %d->%d outside fabric of %d nodes", pkt.Src, pkt.Dst, len(nw.rx)))
 	}
-	if nw.ss != nil {
-		return nw.sendSharded(at, pkt)
-	}
+	shard := nw.shardOf[pkt.Src]
+	s := nw.perShard[shard]
 	b := pkt.Bytes()
-
-	nw.Stats.Messages++
-	nw.Stats.DataBytes += uint64(b)
-	nw.Stats.WireBytes += uint64(nw.cfg.WireBytes(b))
-	nw.Stats.Cells += uint64(nw.cfg.Cells(b))
+	s.messages++
+	s.dataBytes += uint64(b)
+	s.wireBytes += uint64(nw.cfg.WireBytes(b))
+	s.cells += uint64(nw.cfg.Cells(b))
 
 	if pkt.Dst == pkt.Src {
-		// Loopback inside the board: no fabric involvement.
-		deliver := at + nw.headCellCycles()
-		nw.schedule(pkt, deliver)
-		return deliver
+		// Loopback inside the board: shard-local, no fabric state.
+		nw.schedule(pkt, at+nw.headCellCycles())
+		return
 	}
-
-	deliver, redeliver, lost := nw.walk(at, pkt)
-	if lost {
-		return deliver
-	}
-	nw.schedule(pkt, deliver)
-	if redeliver != 0 {
-		nw.schedule(pkt, redeliver)
-	}
-	return deliver
+	s.ledger = append(s.ledger, walkItem{now: nw.kernels[shard].Now(), at: at, pkt: pkt})
 }
 
 // walk occupies the source access link for the whole serialization,
@@ -303,8 +285,8 @@ func (nw *Network) Send(at sim.Time, pkt *Packet) sim.Time {
 //
 // The walk order is the fabric's serialization point: ports are
 // contended resources, so calling walk in a different order changes
-// timings. The plain path walks in Send-call order; the sharded path
-// replays the identical order from its ledger.
+// timings. Only drainLedger calls walk, in the canonical (send time,
+// source node, per-node call order) order, on every kernel layout.
 func (nw *Network) walk(at sim.Time, pkt *Packet) (deliver, redeliver sim.Time, lost bool) {
 	b := pkt.Bytes()
 	cells := nw.cfg.Cells(b)
@@ -361,122 +343,74 @@ func (nw *Network) walk(at sim.Time, pkt *Packet) (deliver, redeliver sim.Time, 
 	return deliver, redeliver, false
 }
 
-// sendSharded is Send during a window: charge the sending shard's
-// counters, deliver loopbacks on the node's own kernel, and defer
-// everything that touches shared fabric state into the shard's ledger.
-func (nw *Network) sendSharded(at sim.Time, pkt *Packet) sim.Time {
-	shard := nw.shardOf[pkt.Src]
-	s := nw.perShard[shard]
-	b := pkt.Bytes()
-	s.messages++
-	s.dataBytes += uint64(b)
-	s.wireBytes += uint64(nw.cfg.WireBytes(b))
-	s.cells += uint64(nw.cfg.Cells(b))
-
-	k := nw.ss.Kernel(shard)
-	if pkt.Dst == pkt.Src {
-		// Loopback inside the board: shard-local, no fabric state.
-		deliver := at + nw.headCellCycles()
-		if nw.rx[pkt.Dst] == nil {
-			panic(fmt.Sprintf("atm: node %d has no receive handler", pkt.Dst))
-		}
-		k.AtCall(deliver, nw.deliverFn, pkt)
-		return deliver
-	}
-	s.ledger = append(s.ledger, walkItem{now: k.Now(), at: at, pkt: pkt})
-	return 0
-}
-
-// drainLedger is the window barrier: it gathers every shard's deferred
-// walks, restores the canonical global order, and applies them
-// single-threaded. Stable sort by (send time, source node) plus the
-// per-shard append order — each node's sends sit in one shard's ledger
-// in call order, and kernel time is monotone within a shard — yields
-// an order independent of the shard count, so the ports see the exact
-// reservation sequence of the sequential fabric.
+// drainLedger gathers every shard's deferred walks, restores the
+// canonical global order, and applies them single-threaded. It runs
+// when the single kernel's current timestamp closes (New) and at every
+// window barrier (NewSharded). Stable sort by (send time, source node)
+// plus the per-shard append order — each node's sends sit in one
+// shard's ledger in call order, and kernel time is monotone within a
+// shard — yields an order independent of the shard count, so the ports
+// see the same reservation sequence on every kernel layout. The
+// shards' send counters fold into Stats here too; they are pure sums,
+// so the totals do not depend on the layout either.
 func (nw *Network) drainLedger() {
 	buf := nw.drainBuf[:0]
 	for _, s := range nw.perShard {
+		if s.messages == 0 {
+			continue // nothing sent since the last drain
+		}
 		buf = append(buf, s.ledger...)
 		s.ledger = s.ledger[:0]
-	}
-	nw.drainBuf = buf[:0] // keep the (possibly grown) backing array
-	if len(buf) == 0 {
-		return
-	}
-	sort.SliceStable(buf, func(i, j int) bool {
-		if buf[i].now != buf[j].now {
-			return buf[i].now < buf[j].now
-		}
-		return buf[i].pkt.Src < buf[j].pkt.Src
-	})
-	for i := range buf {
-		it := &buf[i]
-		deliver, redeliver, lost := nw.walk(it.at, it.pkt)
-		if lost {
-			continue
-		}
-		nw.shardSchedule(it.pkt, deliver)
-		if redeliver != 0 {
-			nw.shardSchedule(it.pkt, redeliver)
-		}
-	}
-}
-
-// shardSchedule lands a delivery on the destination node's shard
-// kernel. Every kernel's clock sits at the window edge during a
-// barrier, so a delivery at or before the edge would execute out of
-// causal order — that would mean the lookahead bound is wrong, and
-// nothing downstream could be trusted, hence the loud panic.
-func (nw *Network) shardSchedule(pkt *Packet, deliver sim.Time) {
-	if edge := nw.ss.WindowEdge(); deliver <= edge {
-		panic(fmt.Sprintf("atm: delivery %d->%d at t=%d not after window edge %d: lookahead %d is unsound",
-			pkt.Src, pkt.Dst, deliver, edge, nw.Lookahead()))
-	}
-	if nw.rx[pkt.Dst] == nil {
-		panic(fmt.Sprintf("atm: node %d has no receive handler", pkt.Dst))
-	}
-	nw.ss.Kernel(nw.shardOf[pkt.Dst]).AtCall(deliver, nw.deliverFn, pkt)
-}
-
-// shardDeliver is the sharded delivery event body: it runs on the
-// destination's shard kernel and hands the packet to the node's
-// receive handler at that kernel's clock.
-func (nw *Network) shardDeliver(arg any) {
-	pkt := arg.(*Packet)
-	nw.rx[pkt.Dst](pkt, nw.ss.Kernel(nw.shardOf[pkt.Dst]).Now())
-}
-
-// Finish folds the per-shard send-phase counters into Stats; call it
-// after the ShardSet has run and before reading Stats. The counters
-// are pure sums, so the fold is order-independent and the totals equal
-// the sequential fabric's exactly. No-op (and safe) on the plain path.
-func (nw *Network) Finish() {
-	if nw.ss == nil {
-		return
-	}
-	for _, s := range nw.perShard {
 		nw.Stats.Messages += s.messages
 		nw.Stats.DataBytes += s.dataBytes
 		nw.Stats.WireBytes += s.wireBytes
 		nw.Stats.Cells += s.cells
 		s.messages, s.dataBytes, s.wireBytes, s.cells = 0, 0, 0, 0
 	}
+	nw.drainBuf = buf[:0] // keep the (possibly grown) backing array
+	if len(buf) > 1 {
+		slices.SortStableFunc(buf, func(a, b walkItem) int {
+			if c := cmp.Compare(a.now, b.now); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.pkt.Src, b.pkt.Src)
+		})
+	}
+	for i := range buf {
+		it := &buf[i]
+		deliver, redeliver, lost := nw.walk(it.at, it.pkt)
+		if lost {
+			continue
+		}
+		// Every shard kernel's clock sits at the window edge during a
+		// barrier, so a delivery at or before the edge would execute out
+		// of causal order — the lookahead bound would be wrong, and
+		// nothing downstream could be trusted, hence the loud panic.
+		if nw.ss != nil && deliver <= nw.ss.WindowEdge() {
+			panic(fmt.Sprintf("atm: delivery %d->%d at t=%d not after window edge %d: lookahead %d is unsound",
+				it.pkt.Src, it.pkt.Dst, deliver, nw.ss.WindowEdge(), nw.Lookahead()))
+		}
+		nw.schedule(it.pkt, deliver)
+		if redeliver != 0 {
+			nw.schedule(it.pkt, redeliver)
+		}
+	}
 }
 
+// schedule lands a delivery on the destination node's kernel.
 func (nw *Network) schedule(pkt *Packet, deliver sim.Time) {
 	if nw.rx[pkt.Dst] == nil {
 		panic(fmt.Sprintf("atm: node %d has no receive handler", pkt.Dst))
 	}
-	nw.k.AtCall(deliver, nw.deliverFn, pkt)
+	nw.NodeKernel(pkt.Dst).AtCall(deliver, nw.deliverFn, pkt)
 }
 
-// deliver is the delivery event body: it runs at the arrival time of
-// the packet's last cell and hands the packet to the destination's
-// receive handler.
+// deliver is the delivery event body: it runs on the destination's
+// kernel at the arrival time of the packet's last cell and hands the
+// packet to the node's receive handler.
 func (nw *Network) deliver(arg any) {
 	pkt := arg.(*Packet)
-	nw.rx[pkt.Dst](pkt, nw.k.Now())
+	nw.rx[pkt.Dst](pkt, nw.NodeKernel(pkt.Dst).Now())
 }
 
 // CellsOf reports how many cells pkt occupies under the current

@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +18,7 @@ func build(t *testing.T, n int) (*sim.Kernel, *Network, *config.Config) {
 }
 
 func TestSendDeliversOnce(t *testing.T) {
-	k, nw, _ := build(t, 4)
+	k, nw, cfg := build(t, 4)
 	var got []*Packet
 	var at sim.Time
 	for i := 0; i < 4; i++ {
@@ -31,28 +32,36 @@ func TestSendDeliversOnce(t *testing.T) {
 		})
 	}
 	pkt := &Packet{Src: 0, Dst: 2, Size: 100}
-	want := nw.Send(0, pkt)
+	nw.Send(0, pkt)
 	k.Run()
 	if len(got) != 1 || got[0] != pkt {
 		t.Fatalf("delivered %d packets", len(got))
 	}
+	want, _ := newRef(cfg, 4).send(0, 0, 2, 100)
 	if at != want {
-		t.Fatalf("delivered at %d, Send predicted %d", at, want)
+		t.Fatalf("delivered at %d, reference predicts %d", at, want)
+	}
+}
+
+// attachAll gives every node a receive handler that records the latest
+// arrival time in *at.
+func attachAll(nw *Network, at *sim.Time) {
+	for i := 0; i < nw.Nodes(); i++ {
+		nw.Attach(i, func(_ *Packet, t sim.Time) { *at = t })
 	}
 }
 
 func TestLatencyGrowsWithSize(t *testing.T) {
 	k, nw, _ := build(t, 2)
-	nw.Attach(0, func(*Packet, sim.Time) {})
-	nw.Attach(1, func(*Packet, sim.Time) {})
-	small := nw.Send(0, &Packet{Src: 0, Dst: 1, Size: 48})
+	var small, large sim.Time
+	attachAll(nw, &small)
+	nw.Send(0, &Packet{Src: 0, Dst: 1, Size: 48})
 	k.Run()
 	k2 := sim.NewKernel()
 	cfg := config.Default()
 	nw2 := mustNew(k2, &cfg, 2)
-	nw2.Attach(0, func(*Packet, sim.Time) {})
-	nw2.Attach(1, func(*Packet, sim.Time) {})
-	large := nw2.Send(0, &Packet{Src: 0, Dst: 1, Size: 4096})
+	attachAll(nw2, &large)
+	nw2.Send(0, &Packet{Src: 0, Dst: 1, Size: 4096})
 	k2.Run()
 	if large <= small {
 		t.Fatalf("4KB latency %d <= 48B latency %d", large, small)
@@ -67,9 +76,9 @@ func TestCutThroughBeatsStoreAndForward(t *testing.T) {
 	// End-to-end latency of an uncontended message must be about one
 	// serialization time plus constants, not two.
 	k, nw, cfg := build(t, 2)
-	nw.Attach(0, func(*Packet, sim.Time) {})
-	nw.Attach(1, func(*Packet, sim.Time) {})
-	d := nw.Send(0, &Packet{Src: 0, Dst: 1, Size: 4096})
+	var d sim.Time
+	attachAll(nw, &d)
+	nw.Send(0, &Packet{Src: 0, Dst: 1, Size: 4096})
 	k.Run()
 	ser := cfg.SerializeCycles(4096)
 	if d > ser+ser/4 {
@@ -101,6 +110,51 @@ func TestOutputPortContentionQueues(t *testing.T) {
 	}
 	if nw.Stats.PortWaits == 0 {
 		t.Fatal("contention must be visible in PortWaits")
+	}
+}
+
+// TestSameTimeSendsTieBreakBySource pins the fabric's one serialization
+// rule in its smallest form: nodes 7 and 3 send into node 1's port at
+// the same kernel time, node 7's event running first, and node 3's
+// packet still wins the port — on the single kernel and at 1 and 2
+// shards alike.
+func TestSameTimeSendsTieBreakBySource(t *testing.T) {
+	for _, shards := range []int{0, 1, 2} {
+		cfg := config.Default()
+		var nw *Network
+		var run func()
+		if shards == 0 {
+			k := sim.NewKernel()
+			nw = mustNew(k, &cfg, 8)
+			run = func() { k.Run() }
+		} else {
+			var ss *sim.ShardSet
+			var err error
+			if nw, ss, err = NewSharded(&cfg, 8, shards, sim.EngineCalendar); err != nil {
+				t.Fatal(err)
+			}
+			run = func() { ss.Run() }
+		}
+		var order []int
+		var arrivals []sim.Time
+		for i := 0; i < 8; i++ {
+			nw.Attach(i, func(p *Packet, at sim.Time) {
+				order = append(order, p.Src)
+				arrivals = append(arrivals, at)
+			})
+		}
+		for _, src := range []int{7, 3} {
+			src := src
+			k := nw.NodeKernel(src)
+			k.At(1000, func() { nw.Send(k.Now()+628, &Packet{Src: src, Dst: 1, Size: 160}) })
+		}
+		run()
+		if !slices.Equal(order, []int{3, 7}) {
+			t.Fatalf("shards=%d: port won in source order %v, want [3 7]", shards, order)
+		}
+		if arrivals[1] <= arrivals[0] {
+			t.Fatalf("shards=%d: arrivals %v, want the loser queued behind the winner", shards, arrivals)
+		}
 	}
 }
 
@@ -151,17 +205,15 @@ func TestUnrestrictedCellReducesWireBytes(t *testing.T) {
 	cfg := config.Default()
 	cfg.UnrestrictedCell = true
 	nw := mustNew(k, &cfg, 2)
-	nw.Attach(0, func(*Packet, sim.Time) {})
-	nw.Attach(1, func(*Packet, sim.Time) {})
-	d := nw.Send(0, &Packet{Src: 0, Dst: 1, Size: 4096})
+	var d, d2 sim.Time
+	attachAll(nw, &d)
+	nw.Send(0, &Packet{Src: 0, Dst: 1, Size: 4096})
 	k.Run()
 
-	k2, nw2, cfg2 := build(t, 2)
-	nw2.Attach(0, func(*Packet, sim.Time) {})
-	nw2.Attach(1, func(*Packet, sim.Time) {})
-	d2 := nw2.Send(0, &Packet{Src: 0, Dst: 1, Size: 4096})
+	k2, nw2, _ := build(t, 2)
+	attachAll(nw2, &d2)
+	nw2.Send(0, &Packet{Src: 0, Dst: 1, Size: 4096})
 	k2.Run()
-	_ = cfg2
 
 	if nw.Stats.Cells != 1 {
 		t.Fatalf("unrestricted cells = %d, want 1", nw.Stats.Cells)

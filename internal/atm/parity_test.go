@@ -4,12 +4,14 @@ package atm
 // reproduce the pre-topology single-switch model bit-identically. The
 // reference below is the original closed-form arithmetic — freeAt
 // bookkeeping in place of sim.Resource, the original per-source-link
-// fault injector — and seeded random traffic must produce identical
-// delivery times, identical port-wait totals and identical fault
-// verdicts. This is the contract that keeps every pre-topology
-// artifact byte-identical.
+// fault injector — and seeded random traffic, fed to both in the
+// fabric's canonical (send time, source node) order, must produce
+// identical delivery times, identical port-wait totals and identical
+// fault verdicts.
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"cni/internal/config"
@@ -52,11 +54,13 @@ func use(free *sim.Time, at, dur sim.Time) (sim.Time, sim.Time) {
 	return start, *free
 }
 
-func (r *refFabric) send(at sim.Time, src, dst, bytes int) sim.Time {
+// send walks one message and reports its first delivery time and how
+// many times it is delivered (0 when lost, 2 when duplicated).
+func (r *refFabric) send(at sim.Time, src, dst, bytes int) (sim.Time, int) {
 	ser := r.cfg.SerializeCycles(bytes)
 	cells := r.cfg.Cells(bytes)
 	if src == dst {
-		return at + r.headCell()
+		return at + r.headCell(), 1
 	}
 	txStart, _ := use(&r.txFree[src], at, ser)
 	headAt := txStart + r.headCell() +
@@ -66,7 +70,7 @@ func (r *refFabric) send(at sim.Time, src, dst, bytes int) sim.Time {
 	r.portWaits += portStart - headAt
 	deliver := portEnd + r.cfg.NSToCycles(r.cfg.WirePropNS)
 	if r.rng == nil {
-		return deliver
+		return deliver, 1
 	}
 	// The original per-packet judgement, verbatim.
 	rng := r.rng[src]
@@ -99,7 +103,7 @@ func (r *refFabric) send(at sim.Time, src, dst, bytes int) sim.Time {
 	}
 	if lost {
 		r.faults.PacketsLost++
-		return deliver
+		return deliver, 0
 	}
 	deliver += delay
 	if damaged {
@@ -107,8 +111,9 @@ func (r *refFabric) send(at sim.Time, src, dst, bytes int) sim.Time {
 	}
 	if duped {
 		r.faults.PacketsDuped++
+		return deliver, 2
 	}
-	return deliver
+	return deliver, 1
 }
 
 func runParity(t *testing.T, cfg config.Config, trafficSeed uint64) {
@@ -119,23 +124,55 @@ func runParity(t *testing.T, cfg config.Config, trafficSeed uint64) {
 	if nw.Topology().Kind() != config.TopoSingle {
 		t.Fatalf("default topology = %q, want single", nw.Topology().Kind())
 	}
+	got := make([]sim.Time, messages)
+	arrivals := make([]int, messages)
 	for i := 0; i < n; i++ {
-		nw.Attach(i, func(*Packet, sim.Time) {})
+		nw.Attach(i, func(p *Packet, at sim.Time) {
+			m := p.Meta.(int)
+			if arrivals[m] == 0 {
+				got[m] = at
+			}
+			arrivals[m]++
+		})
 	}
-	ref := newRef(&cfg, n)
 
+	type message struct {
+		at              sim.Time
+		src, dst, bytes int
+	}
 	rng := sim.NewRNG(trafficSeed)
+	msgs := make([]message, messages)
 	var at sim.Time
-	for m := 0; m < messages; m++ {
+	for m := range msgs {
 		at += sim.Time(rng.Intn(300))
-		src := rng.Intn(n)
-		dst := rng.Intn(n)
-		bytes := 1 + rng.Intn(6000)
-		got := nw.Send(at, &Packet{Src: src, Dst: dst, Size: bytes})
-		want := ref.send(at, src, dst, bytes)
-		if got != want {
-			t.Fatalf("message %d (%d->%d, %d B at %d): deliver %d, reference %d",
-				m, src, dst, bytes, at, got, want)
+		msgs[m] = message{at: at, src: rng.Intn(n), dst: rng.Intn(n), bytes: 1 + rng.Intn(6000)}
+		m := m
+		k.At(at, func() {
+			mm := msgs[m]
+			nw.Send(mm.at, &Packet{Src: mm.src, Dst: mm.dst, Size: mm.bytes, Meta: m})
+		})
+	}
+	k.Run()
+
+	// Same-timestamp sends walk in source-node order (stable, so a
+	// node's own sends keep their call order).
+	order := make([]int, messages)
+	for m := range order {
+		order[m] = m
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		if c := cmp.Compare(msgs[a].at, msgs[b].at); c != 0 {
+			return c
+		}
+		return cmp.Compare(msgs[a].src, msgs[b].src)
+	})
+	ref := newRef(&cfg, n)
+	for _, m := range order {
+		mm := msgs[m]
+		want, times := ref.send(mm.at, mm.src, mm.dst, mm.bytes)
+		if arrivals[m] != times || (times > 0 && got[m] != want) {
+			t.Fatalf("message %d (%d->%d, %d B at %d): delivered %d time(s) first at %d, reference %d time(s) at %d",
+				m, mm.src, mm.dst, mm.bytes, mm.at, arrivals[m], got[m], times, want)
 		}
 	}
 	if nw.Stats.PortWaits != ref.portWaits {

@@ -20,8 +20,8 @@ type delivery struct {
 // shardTraffic drives a fixed deterministic workload — every node runs
 // a periodic event chain sending to a rotating partner, with
 // intentional same-cycle ties across nodes — and returns the per-node
-// delivery traces plus the folded fabric stats. shards == 0 runs the
-// plain single-kernel fabric.
+// delivery traces plus the fabric stats. shards == 0 runs the
+// single-kernel fabric.
 func shardTraffic(t *testing.T, cfg *config.Config, n, shards int, engine sim.Engine) ([][]delivery, Stats) {
 	t.Helper()
 	var nw *Network
@@ -54,9 +54,6 @@ func shardTraffic(t *testing.T, cfg *config.Config, n, shards int, engine sim.En
 			got[i] = append(got[i], delivery{Src: p.Src, Dst: p.Dst, At: at, Damaged: p.Damaged})
 		})
 	}
-	// Chains are installed in node order, so same-cycle sends execute
-	// in node order on the plain kernel — the canonical (time, source)
-	// tie-break the sharded ledger replays.
 	const rounds = 40
 	for i := 0; i < n; i++ {
 		i := i
@@ -76,7 +73,6 @@ func shardTraffic(t *testing.T, cfg *config.Config, n, shards int, engine sim.En
 		k.At(sim.Time(1+(i%4)*50), step)
 	}
 	run()
-	nw.Finish()
 	return got, nw.Stats
 }
 

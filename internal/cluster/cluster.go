@@ -292,7 +292,6 @@ func (c *Cluster) Run(app App) *Result {
 	} else {
 		c.K.Run()
 	}
-	c.Net.Finish()
 
 	res := &Result{Net: c.Net.Stats}
 	var hits, misses uint64

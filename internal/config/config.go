@@ -273,8 +273,6 @@ type Config struct {
 	TransmitCaching     bool // CNI transmit caching
 	ConsistencySnooping bool // CNI bus snooping into the Message Cache
 
-	// --- Collective engine (internal/collective) ---
-
 	// --- NIC-resident KV response cache (internal/kv) ---
 
 	// NICResponseCache lets the KV service keep recently served GET
@@ -288,6 +286,8 @@ type Config struct {
 	// response cache may pin at once (0 = a quarter of the MC frames),
 	// bounding how much of the cache serving can steal from messaging.
 	ResponseCacheFrames int
+
+	// --- Collective engine (internal/collective) ---
 
 	// NICCollectives runs barrier/broadcast/reduce/all-reduce as
 	// Application Interrupt Handlers on the CNI board: arriving

@@ -7,6 +7,8 @@ import (
 	"cni/internal/cluster"
 	"cni/internal/config"
 	"cni/internal/dsm"
+	"cni/internal/rpc"
+	"cni/internal/sim"
 	"cni/internal/workload"
 )
 
@@ -74,27 +76,68 @@ func TestShardClusterClampAndSpread(t *testing.T) {
 // TestShardWorkloadParity runs the RPC serving workload — the cluster
 // path with live cross-shard request/response traffic, admission
 // control and exact latency samples — sharded and unsharded, and
-// requires identical results down to the percentile samples.
+// requires identical results down to every latency sample, compared
+// position by position in sorted order.
 func TestShardWorkloadParity(t *testing.T) {
-	spec := workload.Spec{
-		Servers: 1, Clients: 4, Seed: 7,
-		Open: true, Poisson: true, Rate: 10000, Requests: 120,
-		ReqBytes: 128, RespBytes: 1024, Service: 1000,
-		WorkQueue: 64, FreeBufs: 64,
+	cases := []struct {
+		name   string
+		nic    config.NICKind
+		spec   workload.Spec
+		shards []int
+	}{
+		{"cni", config.NICCNI, workload.Spec{
+			Servers: 1, Clients: 4, Seed: 7,
+			Open: true, Poisson: true, Rate: 10000, Requests: 120,
+			ReqBytes: 128, RespBytes: 1024, Service: 1000,
+			WorkQueue: 64, FreeBufs: 64,
+		}, []int{1, 2, 5}},
+		// Clients of the standard interface send into one server port at
+		// the same kernel time. 3100 requests per client is the smallest
+		// count (in steps of 100) whose samples differed between the
+		// single kernel and the shards while the single kernel walked
+		// sends in event order.
+		{"standard", config.NICStandard, workload.Spec{
+			Servers: 2, Clients: 6, Seed: 1,
+			Open: true, Poisson: true, Rate: 5000, Requests: 3100,
+			ReqBytes: 128, RespBytes: 1024, Service: 1000,
+			WorkQueue: 64, FreeBufs: 64, Policy: rpc.Delay,
+		}, []int{1, 2}},
 	}
-	run := func(shards int) (uint64, float64, [3]int64) {
-		cfg := config.ForNIC(config.NICCNI)
-		cfg.SimShards = shards
-		rep := workload.Run(&cfg, spec)
-		return rep.Stats.Completed, rep.Sustained,
-			[3]int64{int64(rep.P50), int64(rep.P99), int64(rep.Res.Time)}
+	type result struct {
+		completed uint64
+		sustained float64
+		p50, p99  sim.Time
+		time      sim.Time
+		samples   []sim.Time
 	}
-	wc, ws, wp := run(0)
-	for _, shards := range []int{1, 2, 5} {
-		gc, gs, gp := run(shards)
-		if gc != wc || gs != ws || gp != wp {
-			t.Fatalf("shards=%d: completed=%d sustained=%g p50/p99/time=%v, want %d %g %v",
-				shards, gc, gs, gp, wc, ws, wp)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(shards int) result {
+				cfg := config.ForNIC(tc.nic)
+				cfg.SimShards = shards
+				rep := workload.Run(&cfg, tc.spec)
+				// Reading the percentiles sorted the samples in place.
+				return result{rep.Stats.Completed, rep.Sustained, rep.P50, rep.P99, rep.Res.Time, rep.Lat.Samples}
+			}
+			want := run(0)
+			for _, shards := range tc.shards {
+				got := run(shards)
+				if len(got.samples) != len(want.samples) {
+					t.Fatalf("shards=%d: %d latency samples, want %d", shards, len(got.samples), len(want.samples))
+				}
+				differ := 0
+				for i := range got.samples {
+					if got.samples[i] != want.samples[i] {
+						differ++
+					}
+				}
+				if differ > 0 || got.completed != want.completed || got.sustained != want.sustained ||
+					got.p50 != want.p50 || got.p99 != want.p99 || got.time != want.time {
+					t.Fatalf("shards=%d: %d of %d samples differ; completed=%d sustained=%g p50/p99/time=%d/%d/%d, want %d %g %d/%d/%d",
+						shards, differ, len(got.samples), got.completed, got.sustained, got.p50, got.p99, got.time,
+						want.completed, want.sustained, want.p50, want.p99, want.time)
+				}
+			}
+		})
 	}
 }

@@ -174,7 +174,6 @@ func ft1RunEngine(cfg config.Config, n int, pattern string, rounds int, engine s
 		k.Run()
 		executed = k.Executed()
 	}
-	net.Finish()
 	var total sim.Time
 	var count uint64
 	for i := 0; i < n; i++ {

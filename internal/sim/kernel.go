@@ -111,6 +111,9 @@ type Kernel struct {
 	// leaves now there, but RunUntil advances now to the window edge, so
 	// sharded drivers need the real end-of-activity time separately.
 	lastAt Time
+	// timestampEnd runs whenever the clock is about to move on (see
+	// OnTimestampEnd); nil when no model registered one.
+	timestampEnd func()
 }
 
 // NewKernel returns an empty kernel at time zero, backed by the default
@@ -186,12 +189,24 @@ func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 // remain queued; a subsequent Run continues from where Stop left off.
 func (k *Kernel) Stop() { k.stopped = true }
 
+// OnTimestampEnd registers fn to run after the last event of each
+// timestamp, before the clock moves on, and whenever the queue runs
+// empty. fn may schedule events of its own, at the current time or
+// later; if it schedules one at the current time, fn runs again after
+// it. The fabric defers its walks to this point so that same-timestamp
+// sends are serialized by a rule every shard can compute, not by event
+// order. A later call replaces fn.
+func (k *Kernel) OnTimestampEnd(fn func()) { k.timestampEnd = fn }
+
 // Run executes events in timestamp order until the event queue is empty
 // or Stop is called. It returns the final virtual time.
 func (k *Kernel) Run() Time {
 	k.checkRunnable()
 	k.stopped = false
 	for !k.stopped {
+		if k.timestampEnd != nil {
+			k.endTimestamp()
+		}
 		e, ok := k.q.pop()
 		if !ok {
 			break
@@ -212,6 +227,9 @@ func (k *Kernel) RunUntil(t Time) {
 	k.checkRunnable()
 	k.stopped = false
 	for !k.stopped {
+		if k.timestampEnd != nil {
+			k.endTimestamp()
+		}
 		at, ok := k.q.peekAt()
 		if !ok || at > t {
 			break
@@ -227,6 +245,14 @@ func (k *Kernel) RunUntil(t Time) {
 	}
 	if !k.stopped && k.now < t {
 		k.now = t
+	}
+}
+
+// endTimestamp runs the timestamp hook if the clock is about to move
+// on: the earliest pending event lies past now, or none is left.
+func (k *Kernel) endTimestamp() {
+	if at, ok := k.q.peekAt(); !ok || at > k.now {
+		k.timestampEnd()
 	}
 }
 
