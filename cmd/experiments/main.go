@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-only T2,F14] [-procs 1,2,4,8] [-j N] [-shards N] [-progress=false]
+//	experiments [-quick] [-only T2,F14] [-procs 1,2,4,8] [-j N] [-shards N] [-progress=false] [-check FILE]
 //
 // Without flags it runs the full paper-scale suite (minutes); -quick
 // shrinks the inputs to run in seconds. Output is plain text, one
@@ -22,6 +22,13 @@
 // share the machine: jobs x shards is capped at GOMAXPROCS by reducing
 // jobs, never shards (the effective split is printed at startup). DSM
 // points clamp to the single kernel; serving and fabric points shard.
+//
+// -check FILE compares the rendered output with a committed rendering
+// of the same selection (e.g. experiments_full.txt for the full suite)
+// and exits 1 on any difference other than the "[ID ready after Ns]"
+// timing lines, naming the first differing lines on stderr:
+//
+//	experiments -check experiments_full.txt > /dev/null
 //
 // -cpuprofile FILE and -memprofile FILE write pprof profiles of the
 // run (CPU over the whole run, live heap at exit) for digging into
@@ -49,6 +56,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -226,13 +234,14 @@ func main() {
 	progress := flag.Bool("progress", true, "stream live point counts to stderr")
 	benchjson := flag.String("benchjson", "", "write the FS1 serving benchmark summary as JSON to this file (e.g. BENCH_rpc.json) and exit")
 	shards := flag.Int("shards", 0, "kernel shards per simulation point (0 = single kernel; results identical at any count)")
+	check := flag.String("check", "", "compare the output with this committed rendering, ignoring ready-after lines; exit 1 on a difference")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
 	// run returns an exit code instead of calling os.Exit so the
 	// profile writers below always get to flush.
-	code := run(*quick, *only, *procs, *jobs, *shards, *progress, *benchjson, *cpuprofile)
+	code := run(*quick, *only, *procs, *jobs, *shards, *progress, *benchjson, *check, *cpuprofile)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -253,7 +262,7 @@ func main() {
 	os.Exit(code)
 }
 
-func run(quick bool, only, procsCSV string, jobs, shards int, progress bool, benchjson, cpuprofile string) int {
+func run(quick bool, only, procsCSV string, jobs, shards int, progress bool, benchjson, check, cpuprofile string) int {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -268,6 +277,14 @@ func run(quick bool, only, procsCSV string, jobs, shards int, progress bool, ben
 	if shards < 0 {
 		fmt.Fprintf(os.Stderr, "experiments: -shards must be >= 0\n")
 		return 2
+	}
+	var want []byte
+	if check != "" {
+		var err error
+		if want, err = os.ReadFile(check); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: -check: %v\n", err)
+			return 2
+		}
 	}
 
 	printer := &progressPrinter{enabled: progress}
@@ -335,6 +352,7 @@ func run(quick bool, only, procsCSV string, jobs, shards int, progress bool, ben
 	}
 
 	failed := false
+	var rendered strings.Builder
 	for i, spec := range specs {
 		r := <-results[i]
 		printer.clear()
@@ -347,8 +365,9 @@ func run(quick bool, only, procsCSV string, jobs, shards int, progress bool, ben
 			failed = true
 			continue
 		}
-		fmt.Print(r.out)
-		fmt.Printf("  [%s ready after %.1fs]\n\n", spec.ID, r.took.Seconds())
+		out := fmt.Sprintf("%s  [%s ready after %.1fs]\n\n", r.out, spec.ID, r.took.Seconds())
+		fmt.Print(out)
+		rendered.WriteString(out)
 	}
 	printer.clear()
 	if failed {
@@ -357,5 +376,70 @@ func run(quick bool, only, procsCSV string, jobs, shards int, progress bool, ben
 	_, total := runner.Counts()
 	fmt.Fprintf(os.Stderr, "experiments: %d artifacts, %d points run, %d reused from memo, %.1fs\n",
 		len(specs), total, runner.MemoHits(), time.Since(start).Seconds())
+	if check != "" {
+		if diffs := renderingDiff(rendered.String(), string(want)); len(diffs) > 0 {
+			fmt.Fprintf(os.Stderr, "experiments: -check: output differs from %s:\n", check)
+			for _, d := range diffs {
+				fmt.Fprintf(os.Stderr, "  %s\n", d)
+			}
+			return 1
+		}
+		fmt.Fprintf(os.Stderr, "experiments: -check: output matches %s\n", check)
+	}
 	return 0
+}
+
+// readyLine matches the per-artifact timing line, the one part of a
+// rendering that changes from run to run.
+var readyLine = regexp.MustCompile(`^\s*\[\S+ ready after [^\]]*\]$`)
+
+// maxDiffs bounds how many differing lines renderingDiff reports.
+const maxDiffs = 10
+
+// line is one line of a rendering with its 1-based line number.
+type line struct {
+	n    int
+	text string
+}
+
+// renderingDiff compares two suite renderings line by line, ignoring
+// ready-after lines, and describes the differences: the first few
+// differing lines, then a count of the rest. It returns nil when the
+// renderings match.
+func renderingDiff(got, want string) []string {
+	g, w := renderedLines(got), renderedLines(want)
+	missing := line{text: "<missing>"}
+	var diffs []string
+	n := 0
+	for i := 0; i < max(len(g), len(w)); i++ {
+		gl, wl := missing, missing
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl.text == wl.text {
+			continue
+		}
+		if n++; n <= maxDiffs {
+			diffs = append(diffs, fmt.Sprintf("got line %d %q, want line %d %q", gl.n, gl.text, wl.n, wl.text))
+		}
+	}
+	if n > maxDiffs {
+		diffs = append(diffs, fmt.Sprintf("... %d more differing lines", n-maxDiffs))
+	}
+	return diffs
+}
+
+// renderedLines splits a rendering into numbered lines without its
+// ready-after lines.
+func renderedLines(s string) []line {
+	var out []line
+	for i, l := range strings.Split(s, "\n") {
+		if !readyLine.MatchString(l) {
+			out = append(out, line{i + 1, l})
+		}
+	}
+	return out
 }

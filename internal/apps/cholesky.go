@@ -125,19 +125,15 @@ func (ch *Cholesky) Init(c *cluster.Cluster) {
 	}
 }
 
-// findPos binary-searches row i in column col's structure and returns
-// the value index within the column.
-func (ch *Cholesky) findPos(col int32, row int32) int32 {
-	lo, hi := ch.Sy.ColPtr[col], ch.Sy.ColPtr[col+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ch.Sy.RowIdx[mid] < row {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// nextPos returns the value index of row in column col's structure,
+// walking forward from index t. Rows looked up in ascending order from
+// ColPtr[col] find every position in one pass over the column.
+func (ch *Cholesky) nextPos(col, t, row int32) int32 {
+	end := ch.Sy.ColPtr[col+1]
+	for t < end && ch.Sy.RowIdx[t] < row {
+		t++
 	}
-	return lo
+	return t
 }
 
 // colOfPos returns the column whose value range contains position p.
@@ -155,14 +151,16 @@ func (ch *Cholesky) colOfPos(p int32) int32 {
 }
 
 // cmod applies column j's outer-product update to column i; p is the
-// position of L(i,j) within column j.
+// position of L(i,j) within column j. Both row lists are sorted, so one
+// merge walk finds every target position; the simulated cost is still
+// that of a binary search per row.
 func (ch *Cholesky) cmod(w *dsm.Worker, j, p, i int32) {
 	sy := ch.Sy
 	cq := sy.ColPtr[j+1]
 	lij := w.ReadF64(ch.lvalBase + int(p))
+	t := sy.ColPtr[i]
 	for q := p; q < cq; q++ {
-		r := sy.RowIdx[q]
-		t := ch.findPos(i, r)
+		t = ch.nextPos(i, t, sy.RowIdx[q])
 		w.Compute(ch.SearchCycles * 8)
 		v := w.ReadF64(ch.lvalBase+int(t)) - lij*w.ReadF64(ch.lvalBase+int(q))
 		w.WriteF64(ch.lvalBase+int(t), v)

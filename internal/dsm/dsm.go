@@ -340,10 +340,14 @@ type barrierState struct {
 //
 // Per-page state lives in slices indexed by page, sized once from the
 // page count fixed at Globals.Freeze. Lock, barrier and grant state is
-// keyed by sparse ids and stays in maps.
+// keyed by sparse ids and stays in maps. The clock state (vc, log,
+// lastBarVC) has one slot per node, so it is allocated by join the
+// first time the node takes part in the protocol: a cluster that never
+// uses the DSM carries no O(nodes²) clocks.
 type Runtime struct {
-	G    *Globals
-	node int
+	G      *Globals
+	node   int
+	nnodes int
 
 	k     *sim.Kernel
 	cfg   *config.Config
@@ -362,13 +366,13 @@ type Runtime struct {
 	// applied at the page's home, sorted by writer. It stays a short
 	// sparse list rather than a pages x nodes matrix.
 	needs     [][]writeNeed
-	vc        []int32
-	log       [][]*Interval // per node, contiguous by interval index
+	vc        []int32       // nil until join
+	log       [][]*Interval // per node, contiguous by interval index; nil until join
 	homes     []*pageHome   // per page, created on demand
 	locks     map[int]*lockState
 	bars      map[int]*barrierState
 	grantVC   map[int][]int32 // per lock: manager VC seen at last grant
-	lastBarVC []int32         // manager VC broadcast at the last barrier release
+	lastBarVC []int32         // manager VC broadcast at the last barrier release; nil until join
 	lastWrote []int32         // per page: own interval idx of the last release that diffed it
 
 	// Distributed-ownership state (nil/unused under central ownership).
@@ -582,6 +586,7 @@ func NewRuntime(g *Globals, k *sim.Kernel, node, nnodes int, board *nic.Board) *
 	r := &Runtime{
 		G:         g,
 		node:      node,
+		nnodes:    nnodes,
 		k:         k,
 		cfg:       g.cfg,
 		board:     board,
@@ -590,13 +595,10 @@ func NewRuntime(g *Globals, k *sim.Kernel, node, nnodes int, board *nic.Board) *
 		twin:      make([][]uint64, pages),
 		dirty:     make([]bool, pages),
 		needs:     make([][]writeNeed, pages),
-		vc:        make([]int32, nnodes),
-		log:       make([][]*Interval, nnodes),
 		homes:     make([]*pageHome, pages),
 		locks:     make(map[int]*lockState),
 		bars:      make(map[int]*barrierState),
 		grantVC:   make(map[int][]int32),
-		lastBarVC: make([]int32, nnodes),
 		lastWrote: make([]int32, pages),
 	}
 	if g.cfg.DSMOwnershipOrDefault() == config.DSMDistributed {
@@ -620,21 +622,29 @@ func NewRuntime(g *Globals, k *sim.Kernel, node, nnodes int, board *nic.Board) *
 	}
 	g.nodes = append(g.nodes, r)
 
+	// Every protocol op enters through handle, so a node that serves as
+	// a page home or a lock or barrier manager without acting itself
+	// still joins before its first handler runs.
 	onNIC := board.HandlersOnBoard()
-	board.Register(OpDiff, onNIC, r.onDiff)
-	board.Register(OpPageReq, onNIC, r.onPageReq)
-	board.Register(OpPageReply, onNIC, r.onPageReply)
-	board.Register(OpLockAcq, onNIC, r.onLockAcq)
-	board.Register(OpLockGrant, onNIC, r.onLockGrant)
-	board.Register(OpLockRel, onNIC, r.onLockRel)
-	board.Register(OpBarEnter, onNIC, r.onBarEnter)
-	board.Register(OpBarRelease, onNIC, r.onBarRelease)
-	board.Register(OpTaskReq, onNIC, r.onTaskReq)
-	board.Register(OpTaskReply, onNIC, r.onTaskReply)
-	board.Register(OpTaskPush, onNIC, r.onTaskPush)
-	board.Register(OpUpdate, onNIC, r.onUpdate)
+	h := r.handle
+	for op := OpDiff; op <= OpUpdate; op++ {
+		board.Register(op, onNIC, h)
+	}
 	board.MapPages(SharedBase, g.Pages()*g.cfg.PageBytes)
 	return r
+}
+
+// join allocates this node's clock state on its first protocol entry.
+// The arrays are sized by the cluster, exactly as an eager allocation
+// would size them, so message sizes and simulated times do not depend
+// on when a node joined.
+func (r *Runtime) join() {
+	if r.vc != nil {
+		return
+	}
+	r.vc = make([]int32, r.nnodes)
+	r.log = make([][]*Interval, r.nnodes)
+	r.lastBarVC = make([]int32, r.nnodes)
 }
 
 // Node reports this runtime's node id.
@@ -899,7 +909,7 @@ func (hs *pageHome) satisfiedNeeds(need []writeNeed) bool {
 func (r *Runtime) homeState(page int32) *pageHome {
 	hs := r.homes[page]
 	if hs == nil {
-		hs = &pageHome{applied: make([]int32, len(r.vc))}
+		hs = &pageHome{applied: make([]int32, r.nnodes)}
 		r.homes[page] = hs
 	}
 	return hs

@@ -14,15 +14,25 @@ import (
 // the nic layer has already charged the interrupt, kernel receive and
 // host protocol costs before invoking them on the host.
 
-// dispatchLocal routes a message addressed to this node without going
-// through the fabric (manager-is-self fast path). The caller has
-// already synchronized, so at is the current kernel time.
-func (r *Runtime) dispatchLocal(at sim.Time, m *nic.Message) {
+// handle is the board handler of every protocol op: the node joins
+// the protocol, then the message is dispatched by op.
+func (r *Runtime) handle(at sim.Time, m *nic.Message) {
+	r.join()
+	r.dispatch(at, m)
+}
+
+// dispatch routes a message to its op's handler. Besides handle, it
+// serves messages addressed to this node that skip the fabric
+// (manager-is-self fast path); their senders have joined already and
+// synchronized, so at is the current kernel time.
+func (r *Runtime) dispatch(at sim.Time, m *nic.Message) {
 	switch m.Op {
 	case OpDiff:
 		r.onDiff(at, m)
 	case OpPageReq:
 		r.onPageReq(at, m)
+	case OpPageReply:
+		r.onPageReply(at, m)
 	case OpLockAcq:
 		r.onLockAcq(at, m)
 	case OpLockGrant:
@@ -42,7 +52,7 @@ func (r *Runtime) dispatchLocal(at sim.Time, m *nic.Message) {
 	case OpUpdate:
 		r.onUpdate(at, m)
 	default:
-		panic(fmt.Sprintf("dsm: local dispatch of op %d", m.Op))
+		panic(fmt.Sprintf("dsm: dispatch of op %d", m.Op))
 	}
 }
 
@@ -50,7 +60,7 @@ func (r *Runtime) dispatchLocal(at sim.Time, m *nic.Message) {
 // board otherwise. Used from handler context (replies, grants).
 func (r *Runtime) send(at sim.Time, m *nic.Message) {
 	if m.To == r.node {
-		r.dispatchLocal(at, m)
+		r.dispatch(at, m)
 		return
 	}
 	r.board.SendAt(at, m)
@@ -130,7 +140,7 @@ func (r *Runtime) drainPendingOwn(at sim.Time, page int32) {
 	r.pendingOwn[page] = nil
 	for _, pm := range parked {
 		if r.owner(page) {
-			r.dispatchLocal(at, pm)
+			r.dispatch(at, pm)
 		} else {
 			r.forwardOwn(at, pm)
 		}
@@ -328,7 +338,7 @@ func (r *Runtime) sendPageReply(at sim.Time, req *pageReqMsg) {
 	}
 	if r.cfg.UpdateProtocol {
 		if hs.copyset == nil {
-			hs.copyset = make([]bool, len(r.vc))
+			hs.copyset = make([]bool, r.nnodes)
 		}
 		hs.copyset[req.from] = true
 	}

@@ -230,6 +230,7 @@ func (w *Worker) stallHome(page int32) {
 // copy is clean.
 func (w *Worker) fault(page int32, write bool) {
 	r := w.r
+	r.join()
 	r.Stats.PageFaults++
 	if r.owner(page) {
 		panic(fmt.Sprintf("dsm: node %d faulted on its own page %d", r.node, page))
@@ -399,6 +400,7 @@ func (w *Worker) release() {
 // that ride on the grant. Returns the cycles spent blocked.
 func (w *Worker) Lock(id int) sim.Time {
 	r := w.r
+	r.join()
 	r.Stats.LockOps++
 	mgr := id % len(r.G.nodes)
 	r.trace.Addf(w.proc.Local(), r.node, "lock", "acquire %d (manager %d)", id, mgr)
@@ -411,7 +413,7 @@ func (w *Worker) Lock(id int) sim.Time {
 	if mgr == r.node {
 		w.charge(r.cfg.LocalOpCycles)
 		w.proc.Sync()
-		r.dispatchLocal(w.proc.Local(), m)
+		r.dispatch(w.proc.Local(), m)
 	} else {
 		w.charge(r.board.Send(w.proc, m))
 	}
@@ -423,6 +425,7 @@ func (w *Worker) Lock(id int) sim.Time {
 // has not seen.
 func (w *Worker) Unlock(id int) {
 	r := w.r
+	r.join()
 	r.trace.Addf(w.proc.Local(), r.node, "unlock", "release %d", id)
 	w.release()
 	mgr := id % len(r.G.nodes)
@@ -440,7 +443,7 @@ func (w *Worker) Unlock(id int) {
 	if mgr == r.node {
 		w.charge(r.cfg.LocalOpCycles)
 		w.proc.Sync()
-		r.dispatchLocal(w.proc.Local(), m)
+		r.dispatch(w.proc.Local(), m)
 		return
 	}
 	w.charge(r.board.Send(w.proc, m))
@@ -456,6 +459,7 @@ func (w *Worker) Unlock(id int) {
 // same way).
 func (w *Worker) Barrier(id int) sim.Time {
 	r := w.r
+	r.join()
 	if r.coll != nil && r.cfg.NICCollectives {
 		return w.barrierColl(id)
 	}
@@ -476,7 +480,7 @@ func (w *Worker) Barrier(id int) sim.Time {
 	if mgr == r.node {
 		w.charge(r.cfg.LocalOpCycles)
 		w.proc.Sync()
-		r.dispatchLocal(w.proc.Local(), m)
+		r.dispatch(w.proc.Local(), m)
 	} else {
 		w.charge(r.board.Send(w.proc, m))
 	}
@@ -487,6 +491,7 @@ func (w *Worker) Barrier(id int) sim.Time {
 // paradigm Cholesky uses), or -1 when the bag is empty.
 func (w *Worker) NextTask() int {
 	r := w.r
+	r.join()
 	const mgr = 0
 	req := &taskReqMsg{from: r.node}
 	m := &nic.Message{
@@ -497,7 +502,7 @@ func (w *Worker) NextTask() int {
 	if mgr == r.node {
 		w.charge(r.cfg.LocalOpCycles)
 		w.proc.Sync()
-		r.dispatchLocal(w.proc.Local(), m)
+		r.dispatch(w.proc.Local(), m)
 	} else {
 		w.charge(r.board.Send(w.proc, m))
 	}
@@ -512,6 +517,7 @@ func (w *Worker) NextTask() int {
 // reports done completed tasks (either may be empty/zero).
 func (w *Worker) PushTask(done int, tasks ...int) {
 	r := w.r
+	r.join()
 	const mgr = 0
 	push := &taskPushMsg{from: r.node, tasks: tasks, done: done}
 	m := &nic.Message{
@@ -522,7 +528,7 @@ func (w *Worker) PushTask(done int, tasks ...int) {
 	if mgr == r.node {
 		w.charge(r.cfg.LocalOpCycles)
 		w.proc.Sync()
-		r.dispatchLocal(w.proc.Local(), m)
+		r.dispatch(w.proc.Local(), m)
 		return
 	}
 	w.charge(r.board.Send(w.proc, m))
